@@ -34,7 +34,6 @@ from .linalg import (
     fix_top_pair_sign,
     is_irreducible,
     is_primitive_bruteforce,
-    jacobi_eigh,
     thin_svd,
 )
 from .models import (

@@ -100,7 +100,8 @@ def build_parser():
         p.add_argument("--snapshot-t", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--models", type=str, default=None,
-                       help=f"comma-separated subset of {','.join(MODELS)}")
+                       help=f"comma-separated subset of {','.join(MODELS)} "
+                            "(gen-curve and parity-curve only)")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--config", type=str, default=None)
@@ -132,12 +133,7 @@ def build_spec(args):
     if isinstance(merged.get("models"), str):
         merged["models"] = tuple(m.strip() for m in merged["models"].split(",") if m.strip())
 
-    kwargs = {"experiment": args.experiment}
-    for attr, value in merged.items():
-        if attr in ("out", "format", "dump_weights"):
-            kwargs[attr] = value
-        else:
-            kwargs[attr] = value
+    kwargs = {"experiment": args.experiment, **merged}
     if kwargs.get("dump_weights") is None:
         kwargs.pop("dump_weights", None)
     return ExperimentSpec(**kwargs)

@@ -70,6 +70,14 @@ DEFAULT_TRIALS = {
 
 DEFAULT_SINGLE_N = {"init-study": 30, "prop1-check": 9}
 
+DEFAULT_MODELS = ("1layer", "conv")
+
+# Experiments whose rows do not depend on --models, and those whose
+# theory or fixed training set holds for the cls task only; passing the
+# ignored flag is a configuration error rather than a silent mislabel.
+FIXED_MODEL_EXPERIMENTS = ("asym-vs-losses", "init-study", "analysis-curves", "prop1-check")
+CLS_ONLY_EXPERIMENTS = ("analysis-curves", "prop1-check")
+
 
 @dataclass
 class ExperimentSpec:
@@ -87,7 +95,7 @@ class ExperimentSpec:
     xhinge_steps: int = 1000
     snapshot_t: int = 150
     seed: int = 0
-    models: tuple = ("1layer", "conv")
+    models: tuple | None = None
     out: str | None = None
     format: str = "csv"
     dump_weights: bool = False
@@ -100,6 +108,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.experiment == "parity-curve":
             self.task = "parity"
+        if self.experiment in CLS_ONLY_EXPERIMENTS and self.task != "cls":
+            raise ConfigError(f"{self.experiment} runs the cls task only, got {self.task!r}")
         if not 1 <= self.k <= self.d:
             raise ConfigError(f"need 1 <= k <= d, got k={self.k}, d={self.d}")
         if self.trials is None:
@@ -121,6 +131,10 @@ class ExperimentSpec:
             raise ConfigError(f"snapshot step must be >= 0, got {self.snapshot_t}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.models is None:
+            self.models = DEFAULT_MODELS
+        elif self.experiment in FIXED_MODEL_EXPERIMENTS:
+            raise ConfigError(f"{self.experiment} does not take --models")
         bad = [m for m in self.models if m not in models.MODELS]
         if bad:
             raise ConfigError(f"unknown models {bad}; expected among {models.MODELS}")

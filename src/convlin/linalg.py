@@ -1,13 +1,12 @@
 """Small dense-matrix kernels.
 
-Symmetric eigensolve (cyclic Jacobi), thin SVD through the Gram matrix,
-and the two classical nonnegative-matrix reachability tests
-(irreducibility and primitivity).  Everything targets small matrices
-(k <= 64 on the short side); the Jacobi route is deliberate: the Gram
-matrices we decompose are tiny, and a self-contained solver keeps the
-numerical behaviour easy to reason about and to test.
+Thin SVD of a tall matrix on LAPACK, with the top-multiplicity count
+and the sign convention for the leading singular pair, and the two
+classical nonnegative-matrix reachability tests (irreducibility and
+primitivity).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,88 +20,9 @@ from .errors import (
     ZeroMatrixError,
 )
 
-MAX_SIZE = 64
-
 # Relative gap under which singular values are considered tied when
 # counting the multiplicity of the top one.
 DEFAULT_REL_TOL = 1e-9
-
-# Singular values at or below this fraction of sigma_1 are treated as
-# exact zeros: their left vectors cannot be recovered from M @ v / sigma
-# and are completed to an orthonormal basis instead.
-_ZERO_SIGMA_FRAC = 1e-12
-
-# The Gram route cannot distinguish singular values below roughly
-# sqrt(machine eps) * sigma_1 from squaring noise: for a rank-deficient
-# M the eigensolve reports lambda ~ eps * lambda_1, whose square root
-# clears the zero threshold above even though M @ v is pure roundoff.
-# Columns whose recovered norm falls at or below this floor are treated
-# as zeros too.
-_GRAM_NOISE_FRAC = 1e-8
-
-
-def jacobi_eigh(S, max_sweeps=100):
-    """Eigendecomposition of a small symmetric matrix.
-
-    Runs cyclic Jacobi rotations until the off-diagonal mass is
-    negligible.  Returns ``(eigvals, eigvecs)`` with eigenvalues sorted
-    in descending order and eigenvectors in the matching columns.
-
-    Raises ValueError if ``S`` is not square/symmetric, ShapeError if it
-    is larger than MAX_SIZE, and ConvergenceError if ``max_sweeps``
-    cyclic sweeps do not converge (does not happen for symmetric input).
-    """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    k = S.shape[0]
-    if k > MAX_SIZE:
-        raise ShapeError(f"matrix side {k} exceeds the supported maximum {MAX_SIZE}")
-    scale = max(1.0, float(np.max(np.abs(S))) if S.size else 0.0)
-    if float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-
-    A = (S + S.T) / 2.0
-    Q = np.eye(k)
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0:
-        return np.zeros(k), Q
-    off_tol = 1e-13 * norm
-
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= off_tol:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = A[p, q]
-                if abs(apq) < 1e-300:
-                    A[p, q] = A[q, p] = 0.0
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # Two-sided rotation in the (p, q) plane.
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                qp, qq = Q[:, p].copy(), Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-    else:
-        raise ConvergenceError(f"Jacobi sweep budget ({max_sweeps}) exhausted")
-
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], Q[:, order]
 
 
 @dataclass
@@ -127,16 +47,18 @@ class SpectralDecomposition:
 
 
 def thin_svd(M, rel_tol=DEFAULT_REL_TOL):
-    """Thin SVD of a tall matrix via its k x k Gram matrix.
+    """Thin SVD of a tall d x k matrix on LAPACK.
 
-    Eigendecomposes ``M.T @ M`` with `jacobi_eigh`, takes square roots
-    for the singular values, and recovers each left vector by
-    normalizing ``M @ v``.  Left columns for (numerically) zero singular
-    values, including those lost under the squaring noise floor, are
-    completed to an orthonormal set from standard basis vectors, so U is
-    always d x k with orthonormal columns.
+    Only the rows of M that hold a nonzero are decomposed, and their
+    left vectors are scattered back into a zero d x k matrix, so a row
+    of M that is exactly zero gives a row of U that is exactly zero in
+    every column with a nonzero singular value.  When fewer than k rows
+    are nonzero, the missing singular values are zeros and their left
+    columns are standard basis vectors on zero rows, so U is always
+    d x k with orthonormal columns.
 
-    Raises ShapeError when d < k and ZeroMatrixError for an all-zero M.
+    Raises ShapeError when d < k, ZeroMatrixError for an all-zero M, and
+    ConvergenceError when LAPACK fails or M holds a non-finite entry.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -146,57 +68,32 @@ def thin_svd(M, rel_tol=DEFAULT_REL_TOL):
         raise ShapeError(f"matrix must be tall, got shape {M.shape}")
     if k == 0:
         raise ShapeError("matrix must have at least one column")
-    if not np.any(M):
+    nonzero = M.any(axis=1)
+    rows = np.flatnonzero(nonzero)
+    if rows.size == 0:
         raise ZeroMatrixError("cannot decompose an all-zero matrix")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
 
-    lam, V = jacobi_eigh(M.T @ M)
-    sigma = np.sqrt(np.clip(lam, 0.0, None))
+    r = rows.size
+    try:
+        Ur, sigma, Vt = np.linalg.svd(M if r == d else M[rows], full_matrices=r < k)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK SVD failed: {exc}") from None
+    if r == d:
+        U = Ur
+    else:
+        U = np.zeros((d, k))
+        U[rows, : min(r, k)] = Ur
+        if r < k:
+            U[np.flatnonzero(~nonzero)[: k - r], np.arange(r, k)] = 1.0
+            sigma = np.concatenate([sigma, np.zeros(k - r)])
+
     top = sigma[0]
-
-    U = np.zeros((d, k))
-    missing = []
-    for i in range(k):
-        if sigma[i] <= _ZERO_SIGMA_FRAC * top:
-            missing.append(i)
-            continue
-        cand = M @ V[:, i]
-        nrm = float(np.linalg.norm(cand))
-        if nrm <= _GRAM_NOISE_FRAC * top:
-            sigma[i] = 0.0
-            missing.append(i)
-            continue
-        U[:, i] = cand / nrm
-    if missing:
-        U = _complete_columns(U, missing)
-
-    m = int(np.sum(top - sigma <= rel_tol * top))
-    return SpectralDecomposition(U=U, sigma=sigma, V=V, m=m, rel_tol=float(rel_tol))
-
-
-def _complete_columns(U, missing):
-    """Fill the listed columns of U with vectors orthonormal to the rest."""
-    d = U.shape[0]
-    have = [j for j in range(U.shape[1]) if j not in set(missing)]
-    basis = [U[:, j] for j in have]
-    for j in missing:
-        for cand in range(d):
-            v = np.zeros(d)
-            v[cand] = 1.0
-            # Two Gram-Schmidt passes for a numerically clean residual.
-            for _ in range(2):
-                for b in basis:
-                    v -= (b @ v) * b
-            nrm = np.linalg.norm(v)
-            if nrm > 0.5:
-                v /= nrm
-                U[:, j] = v
-                basis.append(v)
-                break
-        else:  # pragma: no cover - d >= k guarantees a candidate exists
-            raise ConvergenceError("failed to complete an orthonormal basis")
-    return U
+    if not math.isfinite(top):
+        raise ConvergenceError("LAPACK SVD returned a non-finite singular value")
+    m = int(np.count_nonzero(top - sigma <= rel_tol * top))
+    return SpectralDecomposition(U=U, sigma=sigma, V=Vt.T, m=m, rel_tol=float(rel_tol))
 
 
 def fix_top_pair_sign(dec):
@@ -233,8 +130,6 @@ def _check_square_nonneg(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] > MAX_SIZE:
-        raise ShapeError(f"matrix side {A.shape[0]} exceeds the supported maximum {MAX_SIZE}")
     if A.shape[0] == 0:
         raise ShapeError("matrix must be at least 1 x 1")
     if np.any(A < 0):

@@ -56,6 +56,19 @@ class TestSpecValidation:
         spec = ExperimentSpec(experiment="parity-curve", task="cls")
         assert spec.task == "parity"
 
+    def test_ignored_flags_rejected(self):
+        for experiment in ("asym-vs-losses", "init-study", "analysis-curves",
+                           "prop1-check"):
+            assert ExperimentSpec(experiment=experiment).models == ("1layer", "conv")
+            with pytest.raises(ConfigError):
+                ExperimentSpec(experiment=experiment, models=("1layer", "conv"))
+        for experiment in ("analysis-curves", "prop1-check"):
+            assert ExperimentSpec(experiment=experiment, task="cls").task == "cls"
+            with pytest.raises(ConfigError):
+                ExperimentSpec(experiment=experiment, task="1stctrl")
+        spec = ExperimentSpec(experiment="gen-curve", models=("fc",))
+        assert spec.models == ("fc",)
+
     def test_rejections(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(experiment="nope")
@@ -413,6 +426,32 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert cli.main(["no-such-experiment"]) == 1
         assert cli.main(["gen-curve", "--n", "5:1:2"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analysis-curves", "--task", "parity", "--n", "10", "--trials", "100"],
+        ["analysis-curves", "--models", "conv", "--n", "10", "--trials", "100"],
+        ["prop1-check", "--task", "parity", "--models", "fc"],
+        ["prop1-check", "--task", "parity"],
+        ["prop1-check", "--models", "fc"],
+        ["asym-vs-losses", "--models", "conv", "--n", "4", "--trials", "1"],
+        ["init-study", "--models", "conv", "--trials", "1"],
+    ])
+    def test_ignored_flag_is_exit_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_ignored_config_key_is_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("models = conv\n")
+        assert cli.main(["prop1-check", "--config", str(cfg)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_asym_vs_losses_beyond_k_64(self, capsys):
+        code = cli.main(["asym-vs-losses", "--k", "70", "--n", "100",
+                         "--trials", "2", "--xhinge-steps", "50"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 1 + 3 * 2
 
     def test_numerical_error_is_exit_two(self, monkeypatch, capsys):
         def boom(spec):

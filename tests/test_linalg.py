@@ -1,8 +1,8 @@
-"""Dense-kernel tests: Jacobi eigensolve, thin SVD, reachability checks.
+"""Dense-kernel tests: thin SVD, top-pair sign, reachability checks.
 
 The SVD tests lean on reconstruction oracles (rebuild M from the
-factors) rather than comparing against another SVD routine, so they stay
-independent of scipy's LAPACK bindings.  The primitivity and
+factors); only the singular values are also compared against
+``np.linalg.svd`` of the whole matrix.  The primitivity and
 irreducibility tests compare against definition-based oracles written
 with exact big-integer arithmetic.
 """
@@ -21,9 +21,10 @@ from convlin.linalg import (
     fix_top_pair_sign,
     is_irreducible,
     is_primitive_bruteforce,
-    jacobi_eigh,
     thin_svd,
 )
+from convlin.shift import training_average
+from convlin.tasks import sample_training_set, whole_dataset
 
 
 def primitive_by_definition(A):
@@ -53,46 +54,6 @@ def irreducible_by_definition(A):
         P = ((P @ B) > 0).astype(np.int64)
         acc |= P > 0
     return bool(acc.all())
-
-
-class TestJacobiEigh:
-    def test_diagonal(self):
-        vals, vecs = jacobi_eigh(np.diag([2.0, 5.0, 1.0]))
-        np.testing.assert_allclose(vals, [5.0, 2.0, 1.0])
-        np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, [1, 0, 2]],
-                                   atol=1e-12)
-
-    def test_offdiagonal_pair(self):
-        vals, vecs = jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(vals, [1.0, -1.0], atol=1e-12)
-        s = 1.0 / np.sqrt(2.0)
-        for col, ref in zip(vecs.T, ([s, s], [s, -s])):
-            assert min(np.abs(col - ref).max(),
-                       np.abs(col + ref).max()) < 1e-12
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            S = rng.standard_normal((6, 6))
-            S = S + S.T
-            vals, vecs = jacobi_eigh(S)
-            recon = vecs @ np.diag(vals) @ vecs.T
-            assert np.linalg.norm(S - recon) <= 1e-9 * np.linalg.norm(S)
-            np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-10)
-            assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_oversize(self):
-        with pytest.raises(ShapeError):
-            jacobi_eigh(np.eye(65))
-
-    def test_zero_matrix(self):
-        vals, vecs = jacobi_eigh(np.zeros((3, 3)))
-        np.testing.assert_array_equal(vals, np.zeros(3))
-        np.testing.assert_array_equal(vecs, np.eye(3))
 
 
 class TestThinSVD:
@@ -159,6 +120,69 @@ class TestThinSVD:
     def test_bad_rel_tol(self):
         with pytest.raises(ValueError):
             thin_svd(np.ones((3, 2)), rel_tol=0.0)
+
+    def test_zero_rows_of_m_give_exact_zero_rows_of_u(self):
+        rng = np.random.default_rng(5)
+        whole = whole_dataset("cls", 100)
+        cases = [training_average(sample_training_set(whole, 10, rng), 5).matrix
+                 for _ in range(50)]
+        cases += [rng.random((30, 4)) * (rng.random((30, 1)) < 0.3)
+                  for _ in range(50)]
+        checked = 0
+        for M in cases:
+            if not np.any(M):
+                continue
+            dec = thin_svd(M)
+            zero_rows = ~M.any(axis=1)
+            live = dec.sigma != 0.0
+            assert np.all(dec.U[np.ix_(zero_rows, live)] == 0.0)
+            checked += int(zero_rows.any())
+        assert checked > 50
+
+    def test_fewer_nonzero_rows_than_columns(self):
+        one = np.zeros((6, 3))
+        one[2] = [1.0, -2.0, 0.5]
+        two = np.zeros((6, 4))
+        two[[1, 4]] = [[1.0, 0.0, 2.0, 3.0], [0.5, 1.0, 0.0, -1.0]]
+        for M, rank in ((one, 1), (two, 2)):
+            k = M.shape[1]
+            dec = thin_svd(M)
+            np.testing.assert_allclose(dec.U.T @ dec.U, np.eye(k), atol=1e-12)
+            np.testing.assert_allclose(dec.V.T @ dec.V, np.eye(k), atol=1e-12)
+            recon = dec.U @ np.diag(dec.sigma) @ dec.V.T
+            np.testing.assert_allclose(recon, M, atol=1e-12)
+            np.testing.assert_array_equal(dec.sigma[rank:], 0.0)
+            assert np.all(dec.sigma[:rank] > 0.0)
+            assert dec.m == 1
+
+    def test_more_than_64_columns(self):
+        M = np.random.default_rng(6).random((100, 70))
+        dec = thin_svd(M)
+        assert dec.U.shape == (100, 70) and dec.V.shape == (70, 70)
+        assert np.abs(dec.U.T @ dec.U - np.eye(70)).max() <= 1e-10
+        assert np.abs(dec.V.T @ dec.V - np.eye(70)).max() <= 1e-10
+        recon = dec.U @ np.diag(dec.sigma) @ dec.V.T
+        assert np.linalg.norm(M - recon) <= 1e-10 * np.linalg.norm(M)
+
+    def test_sigma_matches_lapack_on_training_averages(self):
+        rng = np.random.default_rng(7)
+        whole = whole_dataset("cls", 100)
+        for k in (5, 20):
+            for n in (10, 100):
+                for _ in range(75):
+                    M = training_average(sample_training_set(whole, n, rng), k).matrix
+                    dec = thin_svd(M)
+                    ref = np.linalg.svd(M, compute_uv=False)
+                    assert np.abs(dec.sigma - ref).max() <= 1e-12 * ref[0]
+                    gaps = ref[0] - ref
+                    assert dec.m == int(np.sum(gaps <= dec.rel_tol * ref[0]))
+
+    def test_non_finite_entry_rejected(self):
+        for bad in (np.nan, np.inf):
+            M = np.ones((4, 2))
+            M[0, 0] = bad
+            with pytest.raises(ConvergenceError):
+                thin_svd(M)
 
 
 def _manual_decomposition(v, m=1):
