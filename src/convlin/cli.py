@@ -133,10 +133,7 @@ def build_spec(args):
     if isinstance(merged.get("models"), str):
         merged["models"] = tuple(m.strip() for m in merged["models"].split(",") if m.strip())
 
-    kwargs = {"experiment": args.experiment, **merged}
-    if kwargs.get("dump_weights") is None:
-        kwargs.pop("dump_weights", None)
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(experiment=args.experiment, **merged)
 
 
 def main(argv=None):

@@ -142,16 +142,19 @@ def asymptotic_error(aw, dataset):
 
 def asymptotic_error_for_trainset(whole, tr, k, rng=None,
                                   rel_tol=DEFAULT_REL_TOL,
-                                  degenerate_draws=DEFAULT_DEGENERATE_DRAWS):
+                                  degenerate_draws=DEFAULT_DEGENERATE_DRAWS,
+                                  mtr=None):
     """Limiting error for one training set.
 
     With a simple top singular value the error is evaluated directly on
     the sign-fixed top pair (the init drops out).  A degenerate top
     value falls back to a Monte-Carlo average over standard-normal
     draws of w1(0), which is why an rng is required in that case.
-    Returns ``(error, was_degenerate)``.
+    ``mtr`` is the training set's average when the caller has already
+    built it.  Returns ``(error, was_degenerate)``.
     """
-    mtr = training_average(tr, k)
+    if mtr is None:
+        mtr = training_average(tr, k)
     dec = thin_svd(mtr.matrix, rel_tol=rel_tol)
     if dec.m == 1:
         u, v = fix_top_pair_sign(dec).top_pair
@@ -193,14 +196,15 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
     for i, child in enumerate(rng.spawn(trials)):
         for attempt in range(100):
             tr = sample_training_set(whole, n, child)
-            if np.any(training_average(tr, k).matrix):
+            mtr = training_average(tr, k)
+            if np.any(mtr.matrix):
                 break
             resamples += 1
         else:
             raise NumericalError("training average cancelled to zero repeatedly")
         err, was_degenerate = asymptotic_error_for_trainset(
             whole, tr, k, rng=child, rel_tol=rel_tol,
-            degenerate_draws=degenerate_draws)
+            degenerate_draws=degenerate_draws, mtr=mtr)
         errors[i] = err
         degenerate += was_degenerate
     stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -1,10 +1,15 @@
 """Experiment runners behind the command-line interface.
 
-Each experiment walks a grid of training-set sizes, derives one seed per
-(experiment, n, trial) from the base seed, and emits flat result rows
-with a fixed CSV schema.  Because every trial owns its seed, reruns with
-the same spec are bit-identical regardless of how trials are scheduled,
-and any single row can be reproduced from the seed stored in it.
+Every experiment runs through one driver, `_drive`: for each training
+size n and each trial it derives one seed from (base seed, experiment,
+n, trial), hands the trial's rng to the experiment's per-trial
+function, and stamps the coordinates on the rows that function yields,
+dumping each trained run's weights under --dump-weights.  Rows follow a
+fixed CSV schema.  Because every trial owns its seed, reruns with the
+same spec are bit-identical regardless of how trials are scheduled, and
+any single row can be reproduced from the seed stored in it.  Summary
+rows sit at trial index ``trials``, whose seed init-study also uses to
+draw its training set.
 
 Experiments:
 
@@ -19,6 +24,8 @@ Experiments:
                         probability vs the coverage closed forms; the
                         ``ratio`` row divides the exact failure
                         probability by the coverage approximation.
+                        ``trials`` counts Monte-Carlo draws, so each n
+                        is one trial.
 * ``prop1-check``     - the evenly-spaced training set: Gram residual,
                         limiting conv error over random inits, and a
                         one-layer baseline on the same set.
@@ -72,10 +79,30 @@ DEFAULT_SINGLE_N = {"init-study": 30, "prop1-check": 9}
 
 DEFAULT_MODELS = ("1layer", "conv")
 
-# Experiments whose rows do not depend on --models, and those whose
-# theory or fixed training set holds for the cls task only; passing the
-# ignored flag is a configuration error rather than a silent mislabel.
-FIXED_MODEL_EXPERIMENTS = ("asym-vs-losses", "init-study", "analysis-curves", "prop1-check")
+# Spec fields each experiment never reads.  They default to None and
+# resolve to SPEC_DEFAULTS, so setting one for an experiment that would
+# ignore it is a configuration error rather than a silent no-op.
+IGNORED_FIELDS = {
+    "gen-curve": ("xhinge_steps", "snapshot_t"),
+    "asym-vs-losses": ("models", "snapshot_t"),
+    "init-study": ("models",),
+    "analysis-curves": ("models", "alpha", "b", "max_steps", "xhinge_steps",
+                        "snapshot_t", "dump_weights"),
+    "prop1-check": ("models", "xhinge_steps", "snapshot_t"),
+    "parity-curve": ("xhinge_steps", "snapshot_t"),
+}
+
+SPEC_DEFAULTS = {
+    "b": models.DEFAULT_B,
+    "max_steps": 100_000,
+    "xhinge_steps": 1000,
+    "snapshot_t": 150,
+    "models": DEFAULT_MODELS,
+    "dump_weights": False,
+}
+
+# Experiments whose theory or fixed training set holds for the cls task
+# only; another task would mislabel the rows.
 CLS_ONLY_EXPERIMENTS = ("analysis-curves", "prop1-check")
 
 
@@ -90,15 +117,15 @@ class ExperimentSpec:
     n: tuple | None = None
     trials: int | None = None
     alpha: float | None = None
-    b: float = models.DEFAULT_B
-    max_steps: int = 100_000
-    xhinge_steps: int = 1000
-    snapshot_t: int = 150
+    b: float | None = None
+    max_steps: int | None = None
+    xhinge_steps: int | None = None
+    snapshot_t: int | None = None
     seed: int = 0
     models: tuple | None = None
     out: str | None = None
     format: str = "csv"
-    dump_weights: bool = False
+    dump_weights: bool | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -110,6 +137,14 @@ class ExperimentSpec:
             self.task = "parity"
         if self.experiment in CLS_ONLY_EXPERIMENTS and self.task != "cls":
             raise ConfigError(f"{self.experiment} runs the cls task only, got {self.task!r}")
+        given = [name for name in IGNORED_FIELDS[self.experiment]
+                 if getattr(self, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ConfigError(f"{self.experiment} does not take {flags}")
+        for name, default in SPEC_DEFAULTS.items():
+            if getattr(self, name) is None:
+                setattr(self, name, default)
         if not 1 <= self.k <= self.d:
             raise ConfigError(f"need 1 <= k <= d, got k={self.k}, d={self.d}")
         if self.trials is None:
@@ -131,10 +166,6 @@ class ExperimentSpec:
             raise ConfigError(f"snapshot step must be >= 0, got {self.snapshot_t}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.models is None:
-            self.models = DEFAULT_MODELS
-        elif self.experiment in FIXED_MODEL_EXPERIMENTS:
-            raise ConfigError(f"{self.experiment} does not take --models")
         bad = [m for m in self.models if m not in models.MODELS]
         if bad:
             raise ConfigError(f"unknown models {bad}; expected among {models.MODELS}")
@@ -151,10 +182,10 @@ class ResultRow:
     seed: int
     model: str
     loss: str
-    steps_run: int
-    stop_reason: str
-    train_error: float | None
-    test_error: float | None
+    steps_run: int = 0
+    stop_reason: str = ""
+    train_error: float | None = None
+    test_error: float | None = None
     aux_key: str = ""
     aux_value: str = ""
 
@@ -191,10 +222,6 @@ def _trial_rng(spec, n, trial):
     return seed, np.random.default_rng(seed)
 
 
-def _weights_key(n, trial, model, loss):
-    return f"n={n}/trial={trial}/model={model}/loss={loss}"
-
-
 def _dump(weights):
     if isinstance(weights, models.LinearWeights):
         return {"model": "1layer", "w": weights.w.tolist()}
@@ -228,80 +255,88 @@ def _filter_signs(w1):
     return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in w1)
 
 
-def _training_rows(spec, result, with_filter_signs=False):
-    whole = whole_dataset(spec.task, spec.d)
+def _trained(model, loss, trace, test_error, **aux):
+    """Row fields and final weights of one trained run."""
+    fields = dict(model=model, loss=loss, steps_run=trace.steps_run,
+                  stop_reason=trace.stop_reason,
+                  train_error=trace.train_error[-1], test_error=test_error,
+                  **aux)
+    return fields, trace.weights
+
+
+def _drive(spec, per_trial, summary=None, trials=None, **state):
+    """The one (n, trial) loop behind every experiment.
+
+    For each n of the spec and each trial (``spec.trials`` unless
+    ``trials`` is given), derive the trial's seed and rng and call
+    ``per_trial(n, trial, rng)``.  It yields ``(fields, weights)`` per
+    row: the row's model, loss and result columns, and the run's final
+    weights (None for a row without a trained run).  The driver stamps
+    the coordinates on each row and, under --dump-weights, dumps the
+    weights.  After the trials of an n, ``summary(n)`` yields the same
+    pairs for rows stamped at trial index ``spec.trials``.  ``state``
+    (extras, traces) is handed to the RunResult.
+    """
+    result = RunResult(spec=spec, rows=[], **state)
+
+    def emit(n, trial, seed, pairs):
+        for fields, weights in pairs:
+            row = ResultRow(experiment=spec.experiment, task=spec.task,
+                            d=spec.d, k=spec.k, n=n, trial=trial, seed=seed,
+                            **fields)
+            result.rows.append(row)
+            if weights is not None and spec.dump_weights:
+                key = f"n={n}/trial={trial}/model={row.model}/loss={row.loss}"
+                result.weights_dump[key] = _dump(weights)
+
     for n in spec.n:
-        for trial in range(spec.trials):
+        for trial in range(spec.trials if trials is None else trials):
             seed, rng = _trial_rng(spec, n, trial)
-            tr = sample_training_set(whole, n, rng)
-            for model in spec.models:
-                trace = train(model, tr, _hinge_config(spec), rng, k=spec.k)
-                row = ResultRow(
-                    experiment=spec.experiment, task=spec.task, d=spec.d,
-                    k=spec.k, n=n, trial=trial, seed=seed, model=model,
-                    loss="hinge", steps_run=trace.steps_run,
-                    stop_reason=trace.stop_reason,
-                    train_error=trace.train_error[-1],
-                    test_error=models.classification_error(trace.weights, whole),
-                )
-                if with_filter_signs and model == "conv":
-                    row.aux_key = "filter_signs"
-                    row.aux_value = _filter_signs(trace.weights.w1)
-                result.rows.append(row)
-                if spec.dump_weights:
-                    result.weights_dump[_weights_key(n, trial, model, "hinge")] = \
-                        _dump(trace.weights)
+            emit(n, trial, seed, per_trial(n, trial, rng))
+        if summary is not None:
+            seed, _ = _trial_rng(spec, n, spec.trials)
+            emit(n, spec.trials, seed, summary(n))
     return result
 
 
 def run_gen_curve(spec):
-    return _training_rows(spec, RunResult(spec=spec, rows=[]))
+    """Hinge-train each model per training set; parity-curve also
+    records the sign pattern of the learned conv filter."""
+    whole = whole_dataset(spec.task, spec.d)
+    config = _hinge_config(spec)
 
+    def per_trial(n, trial, rng):
+        tr = sample_training_set(whole, n, rng)
+        for model in spec.models:
+            trace = train(model, tr, config, rng, k=spec.k)
+            aux = {}
+            if spec.experiment == "parity-curve" and model == "conv":
+                aux = dict(aux_key="filter_signs",
+                           aux_value=_filter_signs(trace.weights.w1))
+            yield _trained(model, "hinge", trace,
+                           models.classification_error(trace.weights, whole),
+                           **aux)
 
-def run_parity_curve(spec):
-    return _training_rows(spec, RunResult(spec=spec, rows=[]),
-                          with_filter_signs=True)
+    return _drive(spec, per_trial)
 
 
 def run_asym_vs_losses(spec):
     """Limiting-error estimate vs both trained losses, trial-paired."""
-    result = RunResult(spec=spec, rows=[])
     whole = whole_dataset(spec.task, spec.d)
-    for n in spec.n:
-        for trial in range(spec.trials):
-            seed, rng = _trial_rng(spec, n, trial)
-            tr = sample_training_set(whole, n, rng)
 
-            def make_row(**kw):
-                return ResultRow(experiment=spec.experiment, task=spec.task,
-                                 d=spec.d, k=spec.k, n=n, trial=trial,
-                                 seed=seed, model="conv", **kw)
+    def per_trial(n, trial, rng):
+        tr = sample_training_set(whole, n, rng)
+        err, degenerate = dynamics.asymptotic_error_for_trainset(
+            whole, tr, spec.k, rng=rng)
+        yield dict(model="conv", loss="asym", stop_reason="estimate",
+                   test_error=err, aux_key="m_degenerate",
+                   aux_value=str(int(degenerate))), None
+        for config in (_xhinge_config(spec), _hinge_config(spec)):
+            trace = train("conv", tr, config, rng, k=spec.k)
+            yield _trained("conv", config.loss, trace,
+                           models.classification_error(trace.weights, whole))
 
-            err, degenerate = dynamics.asymptotic_error_for_trainset(
-                whole, tr, spec.k, rng=rng)
-            result.rows.append(make_row(
-                loss="asym", steps_run=0, stop_reason="estimate",
-                train_error=None, test_error=err,
-                aux_key="m_degenerate", aux_value=str(int(degenerate))))
-
-            xh = train("conv", tr, _xhinge_config(spec), rng, k=spec.k)
-            result.rows.append(make_row(
-                loss="xhinge", steps_run=xh.steps_run,
-                stop_reason=xh.stop_reason, train_error=xh.train_error[-1],
-                test_error=models.classification_error(xh.weights, whole)))
-
-            hg = train("conv", tr, _hinge_config(spec), rng, k=spec.k)
-            result.rows.append(make_row(
-                loss="hinge", steps_run=hg.steps_run,
-                stop_reason=hg.stop_reason, train_error=hg.train_error[-1],
-                test_error=models.classification_error(hg.weights, whole)))
-
-            if spec.dump_weights:
-                result.weights_dump[_weights_key(n, trial, "conv", "xhinge")] = \
-                    _dump(xh.weights)
-                result.weights_dump[_weights_key(n, trial, "conv", "hinge")] = \
-                    _dump(hg.weights)
-    return result
+    return _drive(spec, per_trial)
 
 
 def run_init_study(spec):
@@ -310,74 +345,56 @@ def run_init_study(spec):
     The training set itself is drawn from the seed one past the trial
     range; each trial then draws one uniform init used by both runs.
     """
-    result = RunResult(spec=spec, rows=[])
     n = spec.n[0]
     whole = whole_dataset(spec.task, spec.d)
-    tr_seed, tr_rng = _trial_rng(spec, n, spec.trials)
-    tr = sample_training_set(whole, n, tr_rng)
+    tr = sample_training_set(whole, n, _trial_rng(spec, n, spec.trials)[1])
 
     snap = spec.snapshot_t
     if snap > spec.xhinge_steps:
         raise ConfigError(
             f"snapshot step {snap} is past the extreme-hinge run ({spec.xhinge_steps})")
 
-    pairs = []
-    for trial in range(spec.trials):
-        seed, rng = _trial_rng(spec, n, trial)
-        init_cfg = TrainConfig(loss="hinge", alpha=spec.alpha, b=spec.b,
-                               init="uniform", max_steps=spec.max_steps)
-        w0 = models.init_weights("conv", spec.d, spec.k, init_cfg, rng)
+    hinge = TrainConfig(loss="hinge", alpha=spec.alpha, b=spec.b,
+                        init="uniform", max_steps=spec.max_steps)
+    pairs, traces, extras = [], [], {}
 
-        hg = train("conv", tr, init_cfg, rng, k=spec.k, eval_set=whole,
-                   initial=w0)
-        xcfg = TrainConfig(loss="xhinge", alpha=spec.alpha, b=spec.b,
-                           max_steps=spec.xhinge_steps)
-        xh = train("conv", tr, xcfg, rng, k=spec.k, eval_set=whole, initial=w0)
-
-        hinge_acc = 1.0 - hg.test_error[-1]
+    def per_trial(n, trial, rng):
+        w0 = models.init_weights("conv", spec.d, spec.k, hinge, rng)
+        hg = train("conv", tr, hinge, rng, k=spec.k, eval_set=whole, initial=w0)
+        xh = train("conv", tr, _xhinge_config(spec), rng, k=spec.k,
+                   eval_set=whole, initial=w0)
         snap_acc = 1.0 - xh.test_error[snap]
-        pairs.append((snap_acc, hinge_acc))
-        result.traces.append((trial, "hinge", hg))
-        result.traces.append((trial, "xhinge", xh))
+        pairs.append((snap_acc, 1.0 - hg.test_error[-1]))
+        traces.extend([(trial, "hinge", hg), (trial, "xhinge", xh)])
+        yield _trained("conv", "hinge", hg, hg.test_error[-1])
+        yield _trained("conv", "xhinge", xh, xh.test_error[-1],
+                       aux_key=f"snapshot_acc_t{snap}",
+                       aux_value=repr(float(snap_acc)))
 
-        common = dict(experiment=spec.experiment, task=spec.task, d=spec.d,
-                      k=spec.k, n=n, trial=trial, seed=seed, model="conv")
-        result.rows.append(ResultRow(
-            **common, loss="hinge", steps_run=hg.steps_run,
-            stop_reason=hg.stop_reason, train_error=hg.train_error[-1],
-            test_error=hg.test_error[-1]))
-        result.rows.append(ResultRow(
-            **common, loss="xhinge", steps_run=xh.steps_run,
-            stop_reason=xh.stop_reason, train_error=xh.train_error[-1],
-            test_error=xh.test_error[-1],
-            aux_key=f"snapshot_acc_t{snap}", aux_value=repr(float(snap_acc))))
-        if spec.dump_weights:
-            result.weights_dump[_weights_key(n, trial, "conv", "hinge")] = \
-                _dump(hg.weights)
-            result.weights_dump[_weights_key(n, trial, "conv", "xhinge")] = \
-                _dump(xh.weights)
+    def summary(n):
+        arr = np.asarray(pairs)
+        if arr[:, 0].std() == 0.0 or arr[:, 1].std() == 0.0:
+            r = 0.0
+        else:
+            r = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
+        extras.update(pearson_r=r, pairs=arr)
+        yield dict(model="conv", loss="summary", aux_key="pearson_r",
+                   aux_value=repr(r)), None
 
-    arr = np.asarray(pairs)
-    if arr[:, 0].std() == 0.0 or arr[:, 1].std() == 0.0:
-        r = 0.0
-    else:
-        r = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
-    result.extras["pearson_r"] = r
-    result.extras["pairs"] = arr
-    result.rows.append(ResultRow(
-        experiment=spec.experiment, task=spec.task, d=spec.d, k=spec.k, n=n,
-        trial=spec.trials, seed=tr_seed, model="conv", loss="summary",
-        steps_run=0, stop_reason="", train_error=None, test_error=None,
-        aux_key="pearson_r", aux_value=repr(r)))
-    return result
+    return _drive(spec, per_trial, summary, extras=extras, traces=traces)
 
 
 def run_analysis_curves(spec):
-    """Closed forms and the adjacent-pair Monte Carlo, no training."""
-    result = RunResult(spec=spec, rows=[])
-    for n in spec.n:
-        seed, rng = _trial_rng(spec, n, 0)
+    """Closed forms and the adjacent-pair Monte Carlo, no training.
+
+    ``spec.trials`` is the number of Monte-Carlo draws, so each n is a
+    single trial 0.
+    """
+    extras = {}
+
+    def per_trial(n, trial, rng):
         report = theory.decomposition_report(spec.d, spec.k, n, spec.trials, rng)
+        extras[n] = report
         values = [
             ("err1", report.prob_no_adjacent_pair),
             ("err1_se", report.prob_stderr),
@@ -389,63 +406,41 @@ def run_analysis_curves(spec):
             ("onelayer", report.onelayer),
         ]
         for key, value in values:
-            result.rows.append(ResultRow(
-                experiment=spec.experiment, task=spec.task, d=spec.d,
-                k=spec.k, n=n, trial=0, seed=seed, model="analysis", loss="",
-                steps_run=0, stop_reason="", train_error=None, test_error=None,
-                aux_key=key, aux_value=repr(float(value))))
-        result.extras[n] = report
-    return result
+            yield dict(model="analysis", loss="", aux_key=key,
+                       aux_value=repr(float(value))), None
+
+    return _drive(spec, per_trial, trials=1, extras=extras)
 
 
 def run_prop1_check(spec):
     """Evenly-spaced training set: no conv advantage, by construction."""
-    result = RunResult(spec=spec, rows=[])
     n = spec.n[0]
     whole = whole_dataset("cls", spec.d)
     tr = theory.sparse_training_set(spec.d, spec.k, n)
     mtr = training_average(tr, spec.k)
     gram = mtr.matrix.T @ mtr.matrix
     resid = float(np.max(np.abs(gram - np.eye(spec.k) / n)))
+    conv_errs, onel_errs, extras = [], [], {}
 
-    conv_errs = np.empty(spec.trials)
-    onel_errs = np.empty(spec.trials)
-    for trial in range(spec.trials):
-        seed, rng = _trial_rng(spec, n, trial)
-        w1_0 = rng.normal(0.0, spec.b, size=spec.k)
-        aw = dynamics.asymptotic_weights(w1_0, mtr)
-        conv_errs[trial] = dynamics.asymptotic_error(aw, whole)
+    def per_trial(n, trial, rng):
+        aw = dynamics.asymptotic_weights(rng.normal(0.0, spec.b, size=spec.k), mtr)
+        conv_errs.append(dynamics.asymptotic_error(aw, whole))
+        yield dict(model="conv", loss="asym", stop_reason="estimate",
+                   test_error=conv_errs[-1], aux_key="m",
+                   aux_value=str(aw.m)), None
         trace = train("1layer", tr, _hinge_config(spec), rng)
-        onel_errs[trial] = models.classification_error(trace.weights, whole)
-        common = dict(experiment=spec.experiment, task="cls", d=spec.d,
-                      k=spec.k, n=n, trial=trial, seed=seed)
-        result.rows.append(ResultRow(
-            **common, model="conv", loss="asym", steps_run=0,
-            stop_reason="estimate", train_error=None,
-            test_error=conv_errs[trial],
-            aux_key="m", aux_value=str(aw.m)))
-        result.rows.append(ResultRow(
-            **common, model="1layer", loss="hinge", steps_run=trace.steps_run,
-            stop_reason=trace.stop_reason, train_error=trace.train_error[-1],
-            test_error=onel_errs[trial]))
+        onel_errs.append(models.classification_error(trace.weights, whole))
+        yield _trained("1layer", "hinge", trace, onel_errs[-1])
 
-    def _se(a):
-        return float(a.std(ddof=1) / math.sqrt(len(a))) if len(a) > 1 else 0.0
+    def summary(n):
+        extras["gram_residual"] = resid
+        for name, errs in (("conv", conv_errs), ("onelayer", onel_errs)):
+            extras[f"{name}_mean"], extras[f"{name}_se"] = _mean_se(errs)
+        for key, value in extras.items():
+            yield dict(model="summary", loss="", aux_key=key,
+                       aux_value=repr(float(value))), None
 
-    summary = {
-        "gram_residual": resid,
-        "conv_mean": float(conv_errs.mean()), "conv_se": _se(conv_errs),
-        "onelayer_mean": float(onel_errs.mean()), "onelayer_se": _se(onel_errs),
-    }
-    result.extras.update(summary)
-    for key, value in summary.items():
-        result.rows.append(ResultRow(
-            experiment=spec.experiment, task="cls", d=spec.d, k=spec.k, n=n,
-            trial=spec.trials, seed=derive_seed(spec.seed, spec.experiment, n, spec.trials),
-            model="summary", loss="", steps_run=0, stop_reason="",
-            train_error=None, test_error=None,
-            aux_key=key, aux_value=repr(float(value))))
-    return result
+    return _drive(spec, per_trial, summary, extras=extras)
 
 
 _RUNNERS = {
@@ -454,7 +449,7 @@ _RUNNERS = {
     "init-study": run_init_study,
     "analysis-curves": run_analysis_curves,
     "prop1-check": run_prop1_check,
-    "parity-curve": run_parity_curve,
+    "parity-curve": run_gen_curve,
 }
 
 
@@ -502,21 +497,19 @@ def write_result(result, path=None):
     if result.traces:
         with open(f"{path}.traces.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["trial", "loss", "t", "train_loss", "train_err",
-                             "test_err"])
+            writer.writerow(["trial", "loss", *models.TRACE_COLUMNS])
             for trial, loss, trace in result.traces:
-                for i in range(trace.steps.shape[0]):
-                    te = trace.test_error[i]
-                    writer.writerow([
-                        trial, loss, int(trace.steps[i]),
-                        repr(float(trace.train_loss[i])),
-                        repr(float(trace.train_error[i])),
-                        "" if np.isnan(te) else repr(float(te)),
-                    ])
+                writer.writerows([trial, loss, *row] for row in trace.csv_rows())
     if result.weights_dump:
         with open(f"{path}.weights.json", "w") as fh:
             json.dump(result.weights_dump, fh)
     return text
+
+
+def _mean_se(values):
+    arr = np.asarray(values, dtype=float)
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se
 
 
 def summarize(rows, model=None, loss=None, n=None):
@@ -526,8 +519,6 @@ def summarize(rows, model=None, loss=None, n=None):
             and (model is None or r.model == model)
             and (loss is None or r.loss == loss)
             and (n is None or r.n == n)]
-    arr = np.asarray(vals, dtype=float)
-    if arr.size == 0:
+    if not vals:
         raise ValueError("no matching rows")
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return float(arr.mean()), se
+    return _mean_se(vals)

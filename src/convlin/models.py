@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .shift import training_average
 
 MODELS = ("1layer", "conv", "fc")
@@ -126,6 +126,9 @@ class TrainConfig:
         return tuple(init)
 
 
+TRACE_COLUMNS = ("t", "train_loss", "train_err", "test_err")
+
+
 @dataclass
 class TrainTrace:
     """Per-step training record plus the final weights.
@@ -152,18 +155,23 @@ class TrainTrace:
     def budget_exhausted(self):
         return self.stop_reason == "step-budget"
 
+    def csv_rows(self):
+        """One row per recorded step, under TRACE_COLUMNS; a NaN
+        ``test_err`` (no eval set) is written as ""."""
+        for i in range(self.steps.shape[0]):
+            te = self.test_error[i]
+            yield [
+                int(self.steps[i]),
+                repr(float(self.train_loss[i])),
+                repr(float(self.train_error[i])),
+                "" if np.isnan(te) else repr(float(te)),
+            ]
+
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "train_loss", "train_err", "test_err"])
-            for i in range(self.steps.shape[0]):
-                te = self.test_error[i]
-                writer.writerow([
-                    int(self.steps[i]),
-                    repr(float(self.train_loss[i])),
-                    repr(float(self.train_error[i])),
-                    "" if np.isnan(te) else repr(float(te)),
-                ])
+            writer.writerow(TRACE_COLUMNS)
+            writer.writerows(self.csv_rows())
 
 
 def effective_weights(weights):
@@ -308,6 +316,7 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     With ``eval_set`` given, the whole-dataset error is recorded every
     step.  Returns a TrainTrace; the stop reason is "loss-zero",
     "step-budget" (loss_zero rule ran out of steps) or "fixed-steps".
+    Raises NumericalError when the final weights are not finite.
     """
     if config.loss == "xhinge" and model != "conv":
         raise ConfigError("extreme-hinge training is defined for the conv model")
@@ -357,6 +366,11 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
                     weights.w1 /= mx
                     weights.w2 /= mx
                     renorms += 1
+
+    if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
+        raise NumericalError(
+            f"{model} {config.loss} training diverged at alpha={config.alpha}: "
+            f"the weights after step {steps[-1]} are not finite")
 
     return TrainTrace(
         steps=np.asarray(steps),

@@ -16,7 +16,7 @@ inside datasets are 0-based.  All tasks are linearly separable and
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,7 +76,7 @@ class Dataset:
 
 
 @dataclass
-class TrainingSet:
+class TrainingSet(Dataset):
     """Multiset of points drawn from a whole dataset.
 
     ``indices`` are the row indices into the source dataset (with
@@ -85,29 +85,12 @@ class TrainingSet:
     None.
     """
 
-    task: str
-    d: int
-    positions: np.ndarray
-    values: np.ndarray
-    y: np.ndarray
     indices: np.ndarray
-    s_tr: frozenset | None = field(default=None)
-
-    def __len__(self):
-        return self.y.shape[0]
+    s_tr: frozenset | None = None
 
     @property
     def n_tr(self):
         return self.y.shape[0]
-
-    @cached_property
-    def X(self):
-        return _dense(self.positions, self.values, self.d)
-
-    def point(self, i):
-        x = np.zeros(self.d)
-        x[self.positions[i]] = self.values[i]
-        return DataPoint(x=x, y=int(self.y[i]))
 
 
 def _check_task_d(task, d):

@@ -20,7 +20,7 @@ from convlin.dynamics import (
 from convlin.errors import StepOverflowError
 from convlin.models import ConvWeights, TrainConfig, train
 from convlin.shift import training_average
-from convlin.tasks import TrainingSet, sample_training_set, whole_dataset
+from convlin.tasks import Dataset, TrainingSet, sample_training_set, whole_dataset
 from convlin.theory import sparse_training_set
 
 
@@ -251,6 +251,16 @@ class TestEstimate:
                                             np.random.default_rng(15))
         assert generic.degenerate_fraction == 0.0
         assert generic.zero_average_resamples == 0
+
+    def test_zero_average_is_resampled(self):
+        """A point and its label-flipped twin cancel in the training
+        average whenever a sample holds both equally often."""
+        whole = Dataset(task="parity", d=4, positions=np.array([[1], [1]]),
+                        values=np.array([[1.0], [1.0]]), y=np.array([1, -1]))
+        est = asymptotic_error_estimate(whole, 2, 2, 20,
+                                        np.random.default_rng(18))
+        assert est.zero_average_resamples > 0
+        np.testing.assert_array_equal(est.trial_errors, 0.5)
 
     def test_single_trial_has_zero_stderr(self, cls100):
         est = asymptotic_error_estimate(cls100, 30, 5, 1,

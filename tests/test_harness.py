@@ -39,6 +39,25 @@ def tiny_gen_spec(**overrides):
     return ExperimentSpec(**kw)
 
 
+# One small spec per experiment, each writing every sidecar it can.
+TINY_SPECS = {
+    "gen-curve": dict(n=(5, 10), trials=2, models=("1layer", "conv", "fc"),
+                      dump_weights=True),
+    "parity-curve": dict(n=(10,), trials=2, dump_weights=True),
+    "asym-vs-losses": dict(n=(6,), trials=3, xhinge_steps=20, dump_weights=True),
+    "init-study": dict(n=(8,), trials=3, xhinge_steps=20, snapshot_t=10,
+                       dump_weights=True),
+    "analysis-curves": dict(n=(5, 15), trials=200),
+    "prop1-check": dict(n=(4,), trials=4, dump_weights=True),
+}
+
+
+def tiny_spec(experiment, **overrides):
+    kw = dict(experiment=experiment, d=30, k=3, seed=1, **TINY_SPECS[experiment])
+    kw.update(overrides)
+    return ExperimentSpec(**kw)
+
+
 class TestSpecValidation:
     def test_defaults_filled(self):
         spec = ExperimentSpec(experiment="gen-curve")
@@ -68,6 +87,28 @@ class TestSpecValidation:
                 ExperimentSpec(experiment=experiment, task="1stctrl")
         spec = ExperimentSpec(experiment="gen-curve", models=("fc",))
         assert spec.models == ("fc",)
+        for experiment, fields in (
+                ("gen-curve", dict(xhinge_steps=7, snapshot_t=3)),
+                ("parity-curve", dict(xhinge_steps=7, snapshot_t=3)),
+                ("asym-vs-losses", dict(snapshot_t=3)),
+                ("prop1-check", dict(xhinge_steps=7, snapshot_t=3)),
+                ("analysis-curves", dict(alpha=0.5, b=0.1, max_steps=10,
+                                         xhinge_steps=7, snapshot_t=3,
+                                         dump_weights=False))):
+            for name, value in fields.items():
+                with pytest.raises(ConfigError, match=name.replace("_", "-")):
+                    ExperimentSpec(experiment=experiment, **{name: value})
+
+    def test_unset_fields_echo_their_defaults(self):
+        """Fields an experiment ignores still echo the defaults in the
+        JSON spec, so the echo reads the same for every experiment."""
+        for experiment in ("analysis-curves", "gen-curve"):
+            echo = harness._spec_dict(ExperimentSpec(experiment=experiment))
+            assert echo["b"] == 0.1 and echo["alpha"] is None
+            assert echo["max_steps"] == 100_000
+            assert echo["xhinge_steps"] == 1000 and echo["snapshot_t"] == 150
+            assert echo["models"] == ["1layer", "conv"]
+            assert echo["dump_weights"] is False
 
     def test_rejections(self):
         with pytest.raises(ConfigError):
@@ -101,10 +142,18 @@ class TestSeeds:
         assert base != derive_seed(3, "gen-curve", 51, 2)
         assert base != derive_seed(3, "gen-curve", 50, 3)
 
-    def test_rerun_is_bit_identical(self):
-        a = rows_to_csv(run(tiny_gen_spec()).rows)
-        b = rows_to_csv(run(tiny_gen_spec()).rows)
-        assert a == b
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_rerun_is_bit_identical(self, experiment, tmp_path):
+        """The CSV and every sidecar repeat byte for byte."""
+        outputs = []
+        for rerun in ("a", "b"):
+            (tmp_path / rerun).mkdir()
+            out = tmp_path / rerun / "rows.csv"
+            write_result(run(tiny_spec(experiment)), str(out))
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(out.parent.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert "rows.csv" in outputs[0]
 
 
 class TestGenCurve:
@@ -297,18 +346,24 @@ class TestSerialization:
         result = run(tiny_gen_spec())
         assert write_result(result).startswith(CSV_HEADER)
 
-    def test_weights_dump_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["gen-curve", "asym-vs-losses",
+                                            "init-study", "prop1-check"])
+    def test_weights_dump_round_trip(self, experiment, tmp_path):
         """Weights written under --dump-weights reproduce the row's
-        recorded test error exactly."""
-        spec = tiny_gen_spec(n=(5,), trials=2, dump_weights=True)
+        recorded test error exactly, for every trained run."""
+        runs = {"gen-curve": 2 * 2 * 3, "asym-vs-losses": 3 * 2,
+                "init-study": 3 * 2, "prop1-check": 4}[experiment]
+        spec = tiny_spec(experiment)
         result = run(spec)
         out = tmp_path / "res.csv"
         write_result(result, str(out))
         sidecar = json.loads((tmp_path / "res.csv.weights.json").read_text())
-        assert len(sidecar) == 2 * 2
+        assert len(sidecar) == runs
         whole = whole_dataset(spec.task, spec.d)
-        for row in result.rows:
-            key = f"n={row.n}/trial={row.trial}/model={row.model}/loss=hinge"
+        trained = [r for r in result.rows if r.loss in ("hinge", "xhinge")]
+        assert len(trained) == runs
+        for row in trained:
+            key = f"n={row.n}/trial={row.trial}/model={row.model}/loss={row.loss}"
             w = load_weights(sidecar[key])
             assert classification_error(w, whole) == row.test_error
 
@@ -435,6 +490,19 @@ class TestMain:
         ["prop1-check", "--models", "fc"],
         ["asym-vs-losses", "--models", "conv", "--n", "4", "--trials", "1"],
         ["init-study", "--models", "conv", "--trials", "1"],
+        ["gen-curve", "--xhinge-steps", "7", "--n", "4", "--trials", "1"],
+        ["gen-curve", "--snapshot-t", "3", "--n", "4", "--trials", "1"],
+        ["parity-curve", "--xhinge-steps", "7", "--n", "4", "--trials", "1"],
+        ["parity-curve", "--snapshot-t", "3", "--n", "4", "--trials", "1"],
+        ["asym-vs-losses", "--snapshot-t", "3", "--n", "4", "--trials", "1"],
+        ["prop1-check", "--xhinge-steps", "9", "--trials", "2"],
+        ["prop1-check", "--snapshot-t", "3", "--trials", "2"],
+        ["analysis-curves", "--alpha", "0.5", "--n", "10", "--trials", "100"],
+        ["analysis-curves", "--b", "0.2", "--n", "10", "--trials", "100"],
+        ["analysis-curves", "--max-steps", "10", "--n", "10", "--trials", "100"],
+        ["analysis-curves", "--xhinge-steps", "7", "--n", "10", "--trials", "100"],
+        ["analysis-curves", "--snapshot-t", "3", "--n", "10", "--trials", "100"],
+        ["analysis-curves", "--dump-weights", "--n", "10", "--trials", "100"],
     ])
     def test_ignored_flag_is_exit_one(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -442,9 +510,21 @@ class TestMain:
 
     def test_ignored_config_key_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("models = conv\n")
-        assert cli.main(["prop1-check", "--config", str(cfg)]) == 1
-        assert "configuration error" in capsys.readouterr().err
+        for experiment, line in (
+                ("prop1-check", "models = conv"),
+                ("gen-curve", "snapshot-t = 3"),
+                ("parity-curve", "xhinge-steps = 7"),
+                ("asym-vs-losses", "snapshot-t = 3"),
+                ("prop1-check", "xhinge-steps = 9"),
+                ("analysis-curves", "alpha = 0.5"),
+                ("analysis-curves", "b = 0.2"),
+                ("analysis-curves", "max-steps = 10"),
+                ("analysis-curves", "dump-weights = false")):
+            cfg.write_text(line + "\n")
+            trials = "100" if experiment == "analysis-curves" else "1"
+            argv = [experiment, "--config", str(cfg), "--n", "4", "--trials", trials]
+            assert cli.main(argv) == 1, line
+            assert "configuration error" in capsys.readouterr().err
 
     def test_asym_vs_losses_beyond_k_64(self, capsys):
         code = cli.main(["asym-vs-losses", "--k", "70", "--n", "100",
@@ -460,6 +540,16 @@ class TestMain:
         monkeypatch.setattr(cli, "run", boom)
         assert cli.main(["gen-curve", "--n", "4", "--trials", "1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_diverged_run_is_exit_two(self, capsys):
+        """A hinge run whose weights overflow used to score its NaN
+        margins as error 0; it is a numerical failure."""
+        argv = ["gen-curve", "--d", "20", "--k", "3", "--n", "10", "--trials",
+                "1", "--alpha", "1e308", "--max-steps", "5", "--models",
+                "conv", "--seed", "1"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_pearson_reported_for_init_study(self, tmp_path, capsys):
         out = tmp_path / "study.csv"

@@ -8,7 +8,7 @@ statistically.
 import numpy as np
 import pytest
 
-from convlin.errors import ConfigError
+from convlin.errors import ConfigError, NumericalError
 from convlin.models import (
     DEFAULT_ALPHA,
     ConvWeights,
@@ -288,6 +288,17 @@ class TestHingeTraining:
         trace = train("1layer", tr, cfg, np.random.default_rng(6))
         assert trace.stop_reason == "step-budget"
         assert trace.budget_exhausted
+
+    def test_divergence_raises(self):
+        """A step size that overflows the weights is a numerical failure,
+        not a run whose NaN margins score as error 0."""
+        whole = whole_dataset("cls", 20)
+        rng = np.random.default_rng(0)
+        tr = sample_training_set(whole, 10, rng)
+        cfg = TrainConfig(loss="hinge", alpha=1e308, max_steps=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                train("conv", tr, cfg, rng, k=3)
 
     def test_reaches_zero_loss_at_working_scale(self):
         """Default-configured hinge training fits every task at d=100,
