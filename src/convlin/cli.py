@@ -3,8 +3,10 @@
 One subcommand per experiment, a shared flag set, and optional flat
 key=value config files (``--config``).  Config keys are exactly the flag
 names without the leading dashes; explicit flags override file values,
-and unknown keys are rejected.  Exit codes: 0 on success, 1 for
-configuration problems, 2 for numerical failures.
+and unknown keys are rejected.  argparse only collects strings; every
+value, from a flag or the file, is parsed through the one flag table
+`_FLAGS`, so a malformed value is a configuration error.  Exit codes: 0
+on success, 1 for configuration problems, 2 for numerical failures.
 """
 
 import argparse
@@ -12,8 +14,6 @@ import sys
 
 from .errors import ConfigError, NumericalError
 from .harness import EXPERIMENTS, ExperimentSpec, run, write_result
-from .models import MODELS
-from .tasks import TASKS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -21,13 +21,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-_FLAGS = (
-    "task", "d", "k", "n", "trials", "alpha", "b", "max-steps",
-    "xhinge-steps", "snapshot-t", "seed", "models", "out", "format",
-    "dump-weights",
-)
 
 
 def parse_n(text):
@@ -80,6 +73,19 @@ def _bool(text):
     raise ConfigError(f"bad boolean value {text!r}")
 
 
+def _models(text):
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# Each flag and config key, with the parser of its text.
+_FLAGS = {
+    "task": str, "d": int, "k": int, "n": parse_n, "trials": int,
+    "alpha": float, "b": float, "max-steps": int, "xhinge-steps": int,
+    "snapshot-t": int, "seed": int, "models": _models, "out": str,
+    "format": str, "dump-weights": _bool,
+}
+
+
 def build_parser():
     parser = _Parser(prog="convlin",
                      description="Conv-vs-one-layer training experiments")
@@ -87,53 +93,32 @@ def build_parser():
                                 metavar="|".join(EXPERIMENTS))
     for name in EXPERIMENTS:
         p = sub.add_parser(name, add_help=True)
-        p.add_argument("--task", choices=TASKS, default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--n", type=str, default=None,
-                       help="single value or lo:hi:step (inclusive)")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--max-steps", type=int, default=None)
-        p.add_argument("--xhinge-steps", type=int, default=None)
-        p.add_argument("--snapshot-t", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--models", type=str, default=None,
-                       help=f"comma-separated subset of {','.join(MODELS)} "
-                            "(gen-curve and parity-curve only)")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--dump-weights", action="store_true", default=None)
+        for flag in _FLAGS:
+            if flag == "dump-weights":
+                p.add_argument("--dump-weights", action="store_const", const="true")
+            else:
+                p.add_argument("--" + flag)
+        p.add_argument("--config")
     return parser
 
 
-_CONVERTERS = {
-    "d": int, "k": int, "trials": int, "alpha": float, "b": float,
-    "max-steps": int, "xhinge-steps": int, "snapshot-t": int, "seed": int,
-    "dump-weights": _bool, "n": parse_n,
-}
-
-
 def build_spec(args):
-    """Merge config-file values under explicit flags into a spec."""
-    merged = {}
-    if args.config:
-        for key, raw in load_config_file(args.config).items():
-            conv = _CONVERTERS.get(key, str)
-            merged[key.replace("-", "_")] = conv(raw)
+    """Merge config-file values under explicit flags, then parse every
+    value through _FLAGS into a spec."""
+    merged = load_config_file(args.config) if args.config else {}
     for key in _FLAGS:
-        attr = key.replace("-", "_")
-        value = getattr(args, attr)
+        value = getattr(args, key.replace("-", "_"))
         if value is not None:
-            merged[attr] = value
-    if isinstance(merged.get("n"), str):
-        merged["n"] = parse_n(merged["n"])
-    if isinstance(merged.get("models"), str):
-        merged["models"] = tuple(m.strip() for m in merged["models"].split(",") if m.strip())
-
-    return ExperimentSpec(experiment=args.experiment, **merged)
+            merged[key] = value
+    values = {}
+    for key, text in merged.items():
+        try:
+            values[key.replace("-", "_")] = _FLAGS[key](text)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"bad {key} value {text!r}") from None
+    return ExperimentSpec(experiment=args.experiment, **values)
 
 
 def main(argv=None):

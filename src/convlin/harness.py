@@ -11,6 +11,9 @@ any single row can be reproduced from the seed stored in it.  Summary
 rows sit at trial index ``trials``, whose seed init-study also uses to
 draw its training set.
 
+Each experiment's facts are one `Experiment` record in `EXPERIMENTS`,
+the table that `run` dispatches through.
+
 Experiments:
 
 * ``gen-curve``       - hinge-train models over an n grid, record final
@@ -37,8 +40,10 @@ import csv
 import io
 import json
 import math
+import os
 import zlib
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,15 +52,6 @@ from .errors import ConfigError
 from .models import TrainConfig, train
 from .shift import training_average
 from .tasks import TASKS, sample_training_set, whole_dataset
-
-EXPERIMENTS = (
-    "gen-curve",
-    "asym-vs-losses",
-    "init-study",
-    "analysis-curves",
-    "prop1-check",
-    "parity-curve",
-)
 
 CSV_HEADER = (
     "experiment,task,d,k,n,trial,seed,model,loss,steps_run,stop_reason,"
@@ -66,32 +62,11 @@ CSV_HEADER = (
 # fifties.
 DEFAULT_N_GRID = tuple(range(10, 101, 10)) + tuple(range(150, 501, 50))
 
-DEFAULT_TRIALS = {
-    "gen-curve": 100,
-    "asym-vs-losses": 100,
-    "init-study": 100,
-    "analysis-curves": 10_000,
-    "prop1-check": 200,
-    "parity-curve": 100,
-}
-
-DEFAULT_SINGLE_N = {"init-study": 30, "prop1-check": 9}
-
 DEFAULT_MODELS = ("1layer", "conv")
 
-# Spec fields each experiment never reads.  They default to None and
-# resolve to SPEC_DEFAULTS, so setting one for an experiment that would
-# ignore it is a configuration error rather than a silent no-op.
-IGNORED_FIELDS = {
-    "gen-curve": ("xhinge_steps", "snapshot_t"),
-    "asym-vs-losses": ("models", "snapshot_t"),
-    "init-study": ("models",),
-    "analysis-curves": ("models", "alpha", "b", "max_steps", "xhinge_steps",
-                        "snapshot_t", "dump_weights"),
-    "prop1-check": ("models", "xhinge_steps", "snapshot_t"),
-    "parity-curve": ("xhinge_steps", "snapshot_t"),
-}
-
+# Spec fields that some experiment never reads.  They default to None
+# and resolve to these values, so setting one for an experiment that
+# would ignore it is a configuration error rather than a silent no-op.
 SPEC_DEFAULTS = {
     "b": models.DEFAULT_B,
     "max_steps": 100_000,
@@ -101,9 +76,19 @@ SPEC_DEFAULTS = {
     "dump_weights": False,
 }
 
-# Experiments whose theory or fixed training set holds for the cls task
-# only; another task would mislabel the rows.
-CLS_ONLY_EXPERIMENTS = ("analysis-curves", "prop1-check")
+
+@dataclass(frozen=True)
+class Experiment:
+    """The facts about one experiment: its runner, its default trial
+    count, the spec fields it never reads, and the single n and the one
+    task it is fixed to, if any.  A spec's task defaults to that task,
+    or to cls when none is fixed."""
+
+    runner: object
+    trials: int
+    ignores: tuple = ()
+    single_n: int | None = None
+    task: str | None = None
 
 
 @dataclass
@@ -111,7 +96,7 @@ class ExperimentSpec:
     """Everything needed to rerun an experiment deterministically."""
 
     experiment: str
-    task: str = "cls"
+    task: str | None = None
     d: int = 100
     k: int = 5
     n: tuple | None = None
@@ -128,17 +113,18 @@ class ExperimentSpec:
     dump_weights: bool | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+        exp = EXPERIMENTS.get(self.experiment)
+        if exp is None:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"expected one of {tuple(EXPERIMENTS)}")
+        if self.task is None:
+            self.task = exp.task or "cls"
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.experiment == "parity-curve":
-            self.task = "parity"
-        if self.experiment in CLS_ONLY_EXPERIMENTS and self.task != "cls":
-            raise ConfigError(f"{self.experiment} runs the cls task only, got {self.task!r}")
-        given = [name for name in IGNORED_FIELDS[self.experiment]
-                 if getattr(self, name) is not None]
+        if exp.task is not None and self.task != exp.task:
+            raise ConfigError(
+                f"{self.experiment} runs the {exp.task} task only, got {self.task!r}")
+        given = [name for name in exp.ignores if getattr(self, name) is not None]
         if given:
             flags = ", ".join("--" + name.replace("_", "-") for name in given)
             raise ConfigError(f"{self.experiment} does not take {flags}")
@@ -148,17 +134,18 @@ class ExperimentSpec:
         if not 1 <= self.k <= self.d:
             raise ConfigError(f"need 1 <= k <= d, got k={self.k}, d={self.d}")
         if self.trials is None:
-            self.trials = DEFAULT_TRIALS[self.experiment]
+            self.trials = exp.trials
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.n is None:
-            single = DEFAULT_SINGLE_N.get(self.experiment)
-            self.n = (single,) if single else DEFAULT_N_GRID
-        else:
+        if self.n is not None:
             self.n = tuple(int(v) for v in self.n)
+        elif exp.single_n is not None:
+            self.n = (exp.single_n,)
+        else:
+            self.n = DEFAULT_N_GRID
         if any(v < 1 for v in self.n):
             raise ConfigError(f"training sizes must be >= 1, got {self.n}")
-        if self.experiment in DEFAULT_SINGLE_N and len(self.n) != 1:
+        if exp.single_n is not None and len(self.n) != 1:
             raise ConfigError(f"{self.experiment} takes a single n, got {self.n}")
         if self.xhinge_steps < 1:
             raise ConfigError(f"xhinge steps must be >= 1, got {self.xhinge_steps}")
@@ -169,6 +156,8 @@ class ExperimentSpec:
         bad = [m for m in self.models if m not in models.MODELS]
         if bad:
             raise ConfigError(f"unknown models {bad}; expected among {models.MODELS}")
+        if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigError(f"the directory of --out {self.out!r} does not exist")
 
 
 @dataclass
@@ -299,9 +288,9 @@ def _drive(spec, per_trial, summary=None, trials=None, **state):
     return result
 
 
-def run_gen_curve(spec):
-    """Hinge-train each model per training set; parity-curve also
-    records the sign pattern of the learned conv filter."""
+def run_gen_curve(spec, filter_signs=False):
+    """Hinge-train each model per training set; with ``filter_signs``
+    (parity-curve), also record the sign pattern of the conv filter."""
     whole = whole_dataset(spec.task, spec.d)
     config = _hinge_config(spec)
 
@@ -310,7 +299,7 @@ def run_gen_curve(spec):
         for model in spec.models:
             trace = train(model, tr, config, rng, k=spec.k)
             aux = {}
-            if spec.experiment == "parity-curve" and model == "conv":
+            if filter_signs and model == "conv":
                 aux = dict(aux_key="filter_signs",
                            aux_value=_filter_signs(trace.weights.w1))
             yield _trained(model, "hinge", trace,
@@ -443,18 +432,30 @@ def run_prop1_check(spec):
     return _drive(spec, per_trial, summary, extras=extras)
 
 
-_RUNNERS = {
-    "gen-curve": run_gen_curve,
-    "asym-vs-losses": run_asym_vs_losses,
-    "init-study": run_init_study,
-    "analysis-curves": run_analysis_curves,
-    "prop1-check": run_prop1_check,
-    "parity-curve": run_gen_curve,
+# In CLI subcommand order.
+EXPERIMENTS = {
+    "gen-curve": Experiment(run_gen_curve, trials=100,
+                            ignores=("xhinge_steps", "snapshot_t")),
+    "asym-vs-losses": Experiment(run_asym_vs_losses, trials=100,
+                                 ignores=("models", "snapshot_t")),
+    "init-study": Experiment(run_init_study, trials=100, ignores=("models",),
+                             single_n=30),
+    "analysis-curves": Experiment(
+        run_analysis_curves, trials=10_000,
+        ignores=("models", "alpha", "b", "max_steps", "xhinge_steps",
+                 "snapshot_t", "dump_weights"),
+        task="cls"),
+    "prop1-check": Experiment(run_prop1_check, trials=200,
+                              ignores=("models", "xhinge_steps", "snapshot_t"),
+                              single_n=9, task="cls"),
+    "parity-curve": Experiment(partial(run_gen_curve, filter_signs=True),
+                               trials=100, ignores=("xhinge_steps", "snapshot_t"),
+                               task="parity"),
 }
 
 
 def run(spec):
-    return _RUNNERS[spec.experiment](spec)
+    return EXPERIMENTS[spec.experiment].runner(spec)
 
 
 def rows_to_csv(rows):

@@ -286,9 +286,9 @@ def _conv_vec(s, w1):
     return out
 
 
-def _hinge_step(model, weights, tr, alpha):
-    """One simultaneous full-batch hinge subgradient step, in place."""
-    m = margins(weights, tr)
+def _hinge_step(model, weights, tr, alpha, m):
+    """One simultaneous full-batch hinge subgradient step, in place;
+    ``m`` holds the margins of the current weights on ``tr``."""
     act = m < 1.0
     if not np.any(act):
         return
@@ -316,7 +316,8 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     With ``eval_set`` given, the whole-dataset error is recorded every
     step.  Returns a TrainTrace; the stop reason is "loss-zero",
     "step-budget" (loss_zero rule ran out of steps) or "fixed-steps".
-    Raises NumericalError when the final weights are not finite.
+    Raises NumericalError at the first step whose loss is not finite,
+    and when the final weights are not finite.
     """
     if config.loss == "xhinge" and model != "conv":
         raise ConfigError("extreme-hinge training is defined for the conv model")
@@ -332,40 +333,47 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     renorms = 0
     stop_reason = "fixed-steps"
 
-    for t in range(config.max_steps + 1):
-        m = margins(weights, tr)
-        if config.loss == "hinge":
-            loss = float(np.mean(np.maximum(0.0, 1.0 - m)))
-        else:
-            loss = float(np.mean(-m))
-        steps.append(t)
-        losses.append(loss)
-        terrs.append(error_from_margins(m))
-        eerrs.append(classification_error(weights, eval_set)
-                     if eval_set is not None else np.nan)
-        if snaps is not None:
-            snaps.append(weights.copy())
+    # An overflowing step is caught by the finiteness check on the next
+    # step's loss, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.max_steps + 1):
+            m = margins(weights, tr)
+            if config.loss == "hinge":
+                loss = float(np.mean(np.maximum(0.0, 1.0 - m)))
+            else:
+                loss = float(np.mean(-m))
+            if not np.isfinite(loss):
+                raise NumericalError(
+                    f"{model} {config.loss} training diverged at "
+                    f"alpha={config.alpha}: the loss at step {t} is not finite")
+            steps.append(t)
+            losses.append(loss)
+            terrs.append(error_from_margins(m))
+            eerrs.append(classification_error(weights, eval_set)
+                         if eval_set is not None else np.nan)
+            if snaps is not None:
+                snaps.append(weights.copy())
 
-        if config.stop_rule == "loss_zero" and loss == 0.0:
-            stop_reason = "loss-zero"
-            break
-        if t == config.max_steps:
-            stop_reason = ("step-budget" if config.stop_rule == "loss_zero"
-                           else "fixed-steps")
-            break
+            if config.stop_rule == "loss_zero" and loss == 0.0:
+                stop_reason = "loss-zero"
+                break
+            if t == config.max_steps:
+                stop_reason = ("step-budget" if config.stop_rule == "loss_zero"
+                               else "fixed-steps")
+                break
 
-        if config.loss == "hinge":
-            _hinge_step(model, weights, tr, config.alpha)
-        else:
-            w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
-            w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
-            weights.w1, weights.w2 = w1_new, w2_new
-            if config.renormalize:
-                mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
-                if mx > RENORM_THRESHOLD:
-                    weights.w1 /= mx
-                    weights.w2 /= mx
-                    renorms += 1
+            if config.loss == "hinge":
+                _hinge_step(model, weights, tr, config.alpha, m)
+            else:
+                w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
+                w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
+                weights.w1, weights.w2 = w1_new, w2_new
+                if config.renormalize:
+                    mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
+                    if mx > RENORM_THRESHOLD:
+                        weights.w1 /= mx
+                        weights.w2 /= mx
+                        renorms += 1
 
     if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
         raise NumericalError(

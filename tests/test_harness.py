@@ -18,7 +18,6 @@ from convlin.errors import ConfigError, NumericalError
 from convlin.harness import (
     CSV_HEADER,
     DEFAULT_N_GRID,
-    DEFAULT_TRIALS,
     ExperimentSpec,
     ResultRow,
     derive_seed,
@@ -62,7 +61,7 @@ class TestSpecValidation:
     def test_defaults_filled(self):
         spec = ExperimentSpec(experiment="gen-curve")
         assert spec.n == DEFAULT_N_GRID
-        assert spec.trials == DEFAULT_TRIALS["gen-curve"]
+        assert spec.trials == harness.EXPERIMENTS["gen-curve"].trials
         assert spec.task == "cls"
 
     def test_single_n_experiments_get_single_default(self):
@@ -72,8 +71,9 @@ class TestSpecValidation:
             ExperimentSpec(experiment="init-study", n=(10, 20))
 
     def test_parity_curve_forces_task(self):
-        spec = ExperimentSpec(experiment="parity-curve", task="cls")
-        assert spec.task == "parity"
+        assert ExperimentSpec(experiment="parity-curve").task == "parity"
+        with pytest.raises(ConfigError):
+            ExperimentSpec(experiment="parity-curve", task="cls")
 
     def test_ignored_flags_rejected(self):
         for experiment in ("asym-vs-losses", "init-study", "analysis-curves",
@@ -488,6 +488,7 @@ class TestMain:
         ["prop1-check", "--task", "parity", "--models", "fc"],
         ["prop1-check", "--task", "parity"],
         ["prop1-check", "--models", "fc"],
+        ["parity-curve", "--task", "cls", "--n", "4", "--trials", "1"],
         ["asym-vs-losses", "--models", "conv", "--n", "4", "--trials", "1"],
         ["init-study", "--models", "conv", "--trials", "1"],
         ["gen-curve", "--xhinge-steps", "7", "--n", "4", "--trials", "1"],
@@ -525,6 +526,25 @@ class TestMain:
             argv = [experiment, "--config", str(cfg), "--n", "4", "--trials", trials]
             assert cli.main(argv) == 1, line
             assert "configuration error" in capsys.readouterr().err
+
+    def test_malformed_value_is_exit_one(self, tmp_path, capsys):
+        argv = ["gen-curve", "--d", "x", "--n", "4", "--trials", "1"]
+        assert cli.main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        for line in ("d = abc", "alpha = fast", "dump-weights = maybe"):
+            cfg.write_text(line + "\n")
+            argv = ["gen-curve", "--config", str(cfg), "--n", "4", "--trials", "1"]
+            assert cli.main(argv) == 1, line
+            assert "configuration error" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_is_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "rows.csv"
+        argv = ["gen-curve", "--d", "20", "--k", "2", "--n", "4", "--trials",
+                "1", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_asym_vs_losses_beyond_k_64(self, capsys):
         code = cli.main(["asym-vs-losses", "--k", "70", "--n", "100",

@@ -5,6 +5,9 @@ steps worked out on paper) and check the larger-scale behaviour
 statistically.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,20 @@ class TestHingeTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="not finite"):
                 train("conv", tr, cfg, rng, k=3)
+
+    def test_divergence_stops_at_once(self):
+        """At the default step budget a diverged run raises within a few
+        steps, naming the step, and numpy emits no RuntimeWarning."""
+        whole = whole_dataset("cls", 20)
+        rng = np.random.default_rng(0)
+        tr = sample_training_set(whole, 10, rng)
+        cfg = TrainConfig(loss="hinge", alpha=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not finite") as info:
+                train("conv", tr, cfg, rng, k=3)
+        step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+        assert 1 <= step <= 5
 
     def test_reaches_zero_loss_at_working_scale(self):
         """Default-configured hinge training fits every task at d=100,
