@@ -153,11 +153,16 @@ class ExperimentSpec:
             raise ConfigError(f"snapshot step must be >= 0, got {self.snapshot_t}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if not self.models:
+            raise ConfigError("--models names no model")
         bad = [m for m in self.models if m not in models.MODELS]
         if bad:
             raise ConfigError(f"unknown models {bad}; expected among {models.MODELS}")
-        if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
-            raise ConfigError(f"the directory of --out {self.out!r} does not exist")
+        if self.out is not None:
+            if os.path.isdir(self.out):
+                raise ConfigError(f"--out {self.out!r} is a directory")
+            if not os.path.isdir(os.path.dirname(self.out) or "."):
+                raise ConfigError(f"the directory of --out {self.out!r} does not exist")
 
 
 @dataclass
@@ -312,6 +317,7 @@ def run_gen_curve(spec, filter_signs=False):
 def run_asym_vs_losses(spec):
     """Limiting-error estimate vs both trained losses, trial-paired."""
     whole = whole_dataset(spec.task, spec.d)
+    configs = (_xhinge_config(spec), _hinge_config(spec))
 
     def per_trial(n, trial, rng):
         tr = sample_training_set(whole, n, rng)
@@ -320,7 +326,7 @@ def run_asym_vs_losses(spec):
         yield dict(model="conv", loss="asym", stop_reason="estimate",
                    test_error=err, aux_key="m_degenerate",
                    aux_value=str(int(degenerate))), None
-        for config in (_xhinge_config(spec), _hinge_config(spec)):
+        for config in configs:
             trace = train("conv", tr, config, rng, k=spec.k)
             yield _trained("conv", config.loss, trace,
                            models.classification_error(trace.weights, whole))
@@ -345,12 +351,13 @@ def run_init_study(spec):
 
     hinge = TrainConfig(loss="hinge", alpha=spec.alpha, b=spec.b,
                         init="uniform", max_steps=spec.max_steps)
+    xhinge = _xhinge_config(spec)
     pairs, traces, extras = [], [], {}
 
     def per_trial(n, trial, rng):
         w0 = models.init_weights("conv", spec.d, spec.k, hinge, rng)
         hg = train("conv", tr, hinge, rng, k=spec.k, eval_set=whole, initial=w0)
-        xh = train("conv", tr, _xhinge_config(spec), rng, k=spec.k,
+        xh = train("conv", tr, xhinge, rng, k=spec.k,
                    eval_set=whole, initial=w0)
         snap_acc = 1.0 - xh.test_error[snap]
         pairs.append((snap_acc, 1.0 - hg.test_error[-1]))
@@ -409,6 +416,7 @@ def run_prop1_check(spec):
     mtr = training_average(tr, spec.k)
     gram = mtr.matrix.T @ mtr.matrix
     resid = float(np.max(np.abs(gram - np.eye(spec.k) / n)))
+    hinge = _hinge_config(spec)
     conv_errs, onel_errs, extras = [], [], {}
 
     def per_trial(n, trial, rng):
@@ -417,7 +425,7 @@ def run_prop1_check(spec):
         yield dict(model="conv", loss="asym", stop_reason="estimate",
                    test_error=conv_errs[-1], aux_key="m",
                    aux_value=str(aw.m)), None
-        trace = train("1layer", tr, _hinge_config(spec), rng)
+        trace = train("1layer", tr, hinge, rng)
         onel_errs.append(models.classification_error(trace.weights, whole))
         yield _trained("1layer", "hinge", trace, onel_errs[-1])
 

@@ -14,12 +14,32 @@ subgradient (active iff y f < 1), and the extreme hinge ``-y f`` whose
 full-batch gradient is constant in the weights, so conv training reduces
 to two matrix products with the training average.  Layer updates are
 always simultaneous: both gradients are evaluated at the old weights.
+
+A training step is a fixed handful of array operations.  Once per call,
+`train` stores the training set, and the eval set if one is given, as a
+signed sparse design: the positions and the y * x values of each point's
+nonzeros.  Each step collapses the weights to one effective vector c and
+gathers it at those positions for the train and eval margins.  The hinge
+loss is one maximum and one sum, each error two exact counts, and the
+active sum s one bincount.  For conv, the output gradient adds the
+shifted copies of s, read as a window view of a zero-padded buffer, one
+lag after another, and the filter gradient takes one BLAS dot per lag.
+
+The result is bit for bit that of the per-point, per-lag loop kept as
+the oracle in the tests.  Every y * x entry is +-1, so s is an integer
+vector and exact in any summation order, and a margin is the same sum of
+at most two signed entries of c.  The error counts are exact.  Each lag
+dot is the same BLAS call on the same d - j entries.  A single
+zero-padded dot of length d per lag would not be exact: BLAS splits a
+length-d dot into blocks differently from a length d - j one.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericalError
 from .shift import training_average
@@ -90,10 +110,10 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
         if self.alpha is None:
             self.alpha = DEFAULT_ALPHA[self.loss]
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.b <= 0:
-            raise ConfigError(f"init scale b must be positive, got {self.b}")
+        if not math.isfinite(self.alpha) or self.alpha <= 0:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        if not math.isfinite(self.b) or self.b <= 0:
+            raise ConfigError(f"init scale b must be positive and finite, got {self.b}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.stop_rule is None:
@@ -261,51 +281,26 @@ def init_weights(model, d, k, config, rng):
     return FCWeights(W1=draw(s1, (d, d)), w2=draw(s2, (d,)))
 
 
-def _active_sum(tr, act):
-    """sum over active points of y_i * x_i, as a dense d-vector."""
-    w = (tr.y[act, None] * tr.values[act]).ravel()
-    return np.bincount(tr.positions[act].ravel(), weights=w, minlength=tr.d)
+def _signed_design(data):
+    """A sparse dataset as (m, N) arrays of positions and of y * x
+    values, one row per nonzero slot of a point (m = 1 or 2)."""
+    return data.positions.T.copy(), (data.y[:, None] * data.values).T.copy()
 
 
-def _corr_filter(s, w2, k):
-    """(A_s).T @ w2 for the shift matrix of s: out[j] = s[j:] @ w2[:d-j]."""
-    d = s.shape[0]
-    out = np.empty(k)
-    for j in range(k):
-        out[j] = s[j:] @ w2[: d - j]
-    return out
+def _design_margins(c, design):
+    """Margins of the weight vector c on a signed design: the sum over
+    slots of yx * c[positions], added slot by slot."""
+    positions, yx = design
+    prod = yx * c[positions]
+    m = prod[0]
+    for slot in prod[1:]:
+        m = m + slot
+    return m
 
 
-def _conv_vec(s, w1):
-    """A_s @ w1: out[i] = sum_j w1[j] * s[i + j] (zero padded)."""
-    d = s.shape[0]
-    out = np.zeros(d)
-    for j, cj in enumerate(w1):
-        if cj != 0.0:
-            out[: d - j] += cj * s[j:]
-    return out
-
-
-def _hinge_step(model, weights, tr, alpha, m):
-    """One simultaneous full-batch hinge subgradient step, in place;
-    ``m`` holds the margins of the current weights on ``tr``."""
-    act = m < 1.0
-    if not np.any(act):
-        return
-    s = _active_sum(tr, act)
-    scale = alpha / len(tr)
-    if model == "1layer":
-        weights.w += scale * s
-    elif model == "conv":
-        g1 = _corr_filter(s, weights.w2, weights.w1.shape[0])
-        g2 = _conv_vec(s, weights.w1)
-        weights.w1 += scale * g1
-        weights.w2 += scale * g2
-    else:
-        g_W1 = np.outer(weights.w2, s)
-        g_w2 = weights.W1 @ s
-        weights.W1 += scale * g_W1
-        weights.w2 += scale * g_w2
+def _design_error(m):
+    """error_from_margins(m), from two exact counts."""
+    return (np.count_nonzero(m < 0.0) + 0.5 * np.count_nonzero(m == 0.0)) / m.shape[0]
 
 
 def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
@@ -324,11 +319,28 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     weights = initial.copy() if initial is not None else init_weights(
         model, tr.d, k, config, rng)
 
+    n, d = len(tr), tr.d
+    design = _signed_design(tr)
+    positions = design[0].ravel()
+    eval_design = None if eval_set is None else _signed_design(eval_set)
+    scale = config.alpha / n
+    if model == "conv" and config.loss == "hinge":
+        kw = weights.w1.shape[0]
+        # The active sum s sits in a buffer padded with kw - 1 zeros, so
+        # row j of the (kw, d) window view is s shifted by j lags.
+        s_pad = np.zeros(d + kw - 1)
+        shifted = sliding_window_view(s_pad, d)
+        # One dot per lag over exactly the d - j overlapping entries (see
+        # the module docstring); the w2 views stay valid because the hinge
+        # step updates w2 in place.
+        s_tails = [s_pad[j:d] for j in range(kw)]
+        w2_heads = [weights.w2[: d - j] for j in range(kw)]
+
     mtr = None
     if config.loss == "xhinge":
         mtr = training_average(tr, weights.w1.shape[0]).matrix
 
-    steps, losses, terrs, eerrs = [], [], [], []
+    losses, terrs, eerrs = [], [], []
     snaps = [] if record_weights else None
     renorms = 0
     stop_reason = "fixed-steps"
@@ -337,20 +349,22 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     # step's loss, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.max_steps + 1):
-            m = margins(weights, tr)
+            c = effective_weights(weights)
+            m = _design_margins(c, design)
             if config.loss == "hinge":
-                loss = float(np.mean(np.maximum(0.0, 1.0 - m)))
+                h = 1.0 - m
+                np.maximum(h, 0.0, out=h)
             else:
-                loss = float(np.mean(-m))
-            if not np.isfinite(loss):
+                h = -m
+            loss = float(h.sum()) / n
+            if not math.isfinite(loss):
                 raise NumericalError(
                     f"{model} {config.loss} training diverged at "
                     f"alpha={config.alpha}: the loss at step {t} is not finite")
-            steps.append(t)
             losses.append(loss)
-            terrs.append(error_from_margins(m))
-            eerrs.append(classification_error(weights, eval_set)
-                         if eval_set is not None else np.nan)
+            terrs.append(_design_error(m))
+            eerrs.append(np.nan if eval_design is None
+                         else _design_error(_design_margins(c, eval_design)))
             if snaps is not None:
                 snaps.append(weights.copy())
 
@@ -362,9 +376,7 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
                                else "fixed-steps")
                 break
 
-            if config.loss == "hinge":
-                _hinge_step(model, weights, tr, config.alpha, m)
-            else:
+            if config.loss == "xhinge":
                 w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
                 w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
                 weights.w1, weights.w2 = w1_new, w2_new
@@ -374,14 +386,33 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
                         weights.w1 /= mx
                         weights.w2 /= mx
                         renorms += 1
+            elif loss > 0.0:  # some margin is below 1
+                # Every y * x entry is +-1, so the active sum s is an
+                # integer vector, the same in any summation order.
+                act = m < 1.0
+                s = np.bincount(positions, weights=(design[1] * act).ravel(),
+                                minlength=d)
+                if model == "1layer":
+                    weights.w += scale * s
+                elif model == "conv":
+                    s_pad[:d] = s
+                    g1 = np.fromiter(map(np.dot, s_tails, w2_heads), float, kw)
+                    g2 = (weights.w1[:, None] * shifted).sum(axis=0)
+                    weights.w1 += scale * g1
+                    weights.w2 += scale * g2
+                else:
+                    g_W1 = np.outer(weights.w2, s)
+                    g_w2 = weights.W1 @ s
+                    weights.W1 += scale * g_W1
+                    weights.w2 += scale * g_w2
 
     if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
         raise NumericalError(
             f"{model} {config.loss} training diverged at alpha={config.alpha}: "
-            f"the weights after step {steps[-1]} are not finite")
+            f"the weights after step {len(losses) - 1} are not finite")
 
     return TrainTrace(
-        steps=np.asarray(steps),
+        steps=np.arange(len(losses)),
         train_loss=np.asarray(losses),
         train_error=np.asarray(terrs),
         test_error=np.asarray(eerrs),

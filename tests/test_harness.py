@@ -546,6 +546,40 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_out_is_directory_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        def never(spec):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run", never)
+        argv = ["gen-curve", "--d", "20", "--k", "2", "--n", "4", "--trials",
+                "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["gen-curve", "prop1-check"])
+    @pytest.mark.parametrize("key", ["alpha", "b"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_alpha_or_b_is_exit_one(self, experiment, key, value,
+                                              tmp_path, capsys):
+        base = [experiment, "--trials", "1"]
+        if experiment == "gen-curve":
+            base += ["--d", "20", "--k", "2", "--n", "4"]
+        assert cli.main(base + ["--" + key, value]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert cli.main(base + ["--config", str(cfg)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_empty_model_list_is_exit_one(self, tmp_path, capsys):
+        base = ["gen-curve", "--d", "20", "--k", "2", "--n", "4", "--trials", "1"]
+        assert cli.main(base + ["--models", ","]) == 1
+        assert "names no model" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("models = ,\n")
+        assert cli.main(base + ["--config", str(cfg)]) == 1
+        assert "names no model" in capsys.readouterr().err
+
     def test_asym_vs_losses_beyond_k_64(self, capsys):
         code = cli.main(["asym-vs-losses", "--k", "70", "--n", "100",
                          "--trials", "2", "--xhinge-steps", "50"])

@@ -14,10 +14,12 @@ import pytest
 from convlin.errors import ConfigError, NumericalError
 from convlin.models import (
     DEFAULT_ALPHA,
+    RENORM_THRESHOLD,
     ConvWeights,
     FCWeights,
     LinearWeights,
     TrainConfig,
+    TrainTrace,
     classification_error,
     continue_config,
     effective_weights,
@@ -30,6 +32,7 @@ from convlin.models import (
     train,
     xhinge_config,
 )
+from convlin.shift import training_average
 from convlin.tasks import TrainingSet, sample_training_set, whole_dataset
 
 
@@ -201,6 +204,11 @@ class TestTrainConfig:
             TrainConfig(loss="hinge", b=-1.0)
         with pytest.raises(ConfigError):
             TrainConfig(loss="hinge", max_steps=-1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(loss="hinge", alpha=bad)
+            with pytest.raises(ConfigError):
+                TrainConfig(loss="hinge", b=bad)
 
     def test_init_schemes(self):
         with pytest.raises(ConfigError):
@@ -425,6 +433,201 @@ class TestXhingeTraining:
         cos = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
         assert cos == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(a.test_error, b.test_error)
+
+
+def _scalar_active_sum(tr, act):
+    """sum over active points of y_i * x_i, as a dense d-vector."""
+    w = (tr.y[act, None] * tr.values[act]).ravel()
+    return np.bincount(tr.positions[act].ravel(), weights=w, minlength=tr.d)
+
+
+def _scalar_corr_filter(s, w2, k):
+    """(A_s).T @ w2 for the shift matrix of s: out[j] = s[j:] @ w2[:d-j]."""
+    d = s.shape[0]
+    out = np.empty(k)
+    for j in range(k):
+        out[j] = s[j:] @ w2[: d - j]
+    return out
+
+
+def _scalar_conv_vec(s, w1):
+    """A_s @ w1: out[i] = sum_j w1[j] * s[i + j] (zero padded)."""
+    d = s.shape[0]
+    out = np.zeros(d)
+    for j, cj in enumerate(w1):
+        if cj != 0.0:
+            out[: d - j] += cj * s[j:]
+    return out
+
+
+def _scalar_hinge_step(model, weights, tr, alpha, m):
+    act = m < 1.0
+    if not np.any(act):
+        return
+    s = _scalar_active_sum(tr, act)
+    scale = alpha / len(tr)
+    if model == "1layer":
+        weights.w += scale * s
+    elif model == "conv":
+        g1 = _scalar_corr_filter(s, weights.w2, weights.w1.shape[0])
+        g2 = _scalar_conv_vec(s, weights.w1)
+        weights.w1 += scale * g1
+        weights.w2 += scale * g2
+    else:
+        g_W1 = np.outer(weights.w2, s)
+        g_w2 = weights.W1 @ s
+        weights.W1 += scale * g_W1
+        weights.w2 += scale * g_w2
+
+
+def scalar_train(model, tr, config, rng, k=None, eval_set=None,
+                 initial=None, record_weights=False):
+    """The reference training loop: margins through `margins`, errors
+    through `error_from_margins` and `classification_error`, and the
+    conv gradients one lag at a time."""
+    weights = initial.copy() if initial is not None else init_weights(
+        model, tr.d, k, config, rng)
+    mtr = None
+    if config.loss == "xhinge":
+        mtr = training_average(tr, weights.w1.shape[0]).matrix
+    steps, losses, terrs, eerrs = [], [], [], []
+    snaps = [] if record_weights else None
+    renorms = 0
+    stop_reason = "fixed-steps"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.max_steps + 1):
+            m = margins(weights, tr)
+            if config.loss == "hinge":
+                loss = float(np.mean(np.maximum(0.0, 1.0 - m)))
+            else:
+                loss = float(np.mean(-m))
+            if not np.isfinite(loss):
+                raise NumericalError(
+                    f"{model} {config.loss} training diverged at "
+                    f"alpha={config.alpha}: the loss at step {t} is not finite")
+            steps.append(t)
+            losses.append(loss)
+            terrs.append(error_from_margins(m))
+            eerrs.append(classification_error(weights, eval_set)
+                         if eval_set is not None else np.nan)
+            if snaps is not None:
+                snaps.append(weights.copy())
+            if config.stop_rule == "loss_zero" and loss == 0.0:
+                stop_reason = "loss-zero"
+                break
+            if t == config.max_steps:
+                stop_reason = ("step-budget" if config.stop_rule == "loss_zero"
+                               else "fixed-steps")
+                break
+            if config.loss == "hinge":
+                _scalar_hinge_step(model, weights, tr, config.alpha, m)
+            else:
+                w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
+                w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
+                weights.w1, weights.w2 = w1_new, w2_new
+                if config.renormalize:
+                    mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
+                    if mx > RENORM_THRESHOLD:
+                        weights.w1 /= mx
+                        weights.w2 /= mx
+                        renorms += 1
+    if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
+        raise NumericalError(
+            f"{model} {config.loss} training diverged at alpha={config.alpha}: "
+            f"the weights after step {steps[-1]} are not finite")
+    return TrainTrace(
+        steps=np.asarray(steps), train_loss=np.asarray(losses),
+        train_error=np.asarray(terrs), test_error=np.asarray(eerrs),
+        weights=weights, stop_reason=stop_reason, renormalizations=renorms,
+        weights_per_step=snaps)
+
+
+def assert_same_weights(a, b):
+    assert type(a) is type(b)
+    for name, tensor in vars(a).items():
+        assert np.array_equal(tensor, getattr(b, name)), name
+
+
+def assert_same_trace(a, b):
+    for name in ("steps", "train_loss", "train_error", "test_error"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y, equal_nan=True), name
+    assert a.stop_reason == b.stop_reason
+    assert a.renormalizations == b.renormalizations
+    assert_same_weights(a.weights, b.weights)
+    assert len(a.weights_per_step) == len(b.weights_per_step)
+    for u, v in zip(a.weights_per_step, b.weights_per_step):
+        assert_same_weights(u, v)
+
+
+# (d, k) pairs: at d = 40, k = 10 the lag dots have lengths 31..40, which
+# a BLAS dot can group differently from one zero-padded length-40 dot.
+ORACLE_SHAPES = ((20, 3), (40, 10))
+ORACLE_RUNS = [("1layer", "hinge"), ("conv", "hinge"), ("fc", "hinge"),
+               ("conv", "xhinge")]
+
+
+class TestScalarOracle:
+    """`train` against the per-lag scalar loop it replaced: every trace
+    field, snapshot and final weight tensor is bitwise equal."""
+
+    @pytest.mark.parametrize("d,k", ORACLE_SHAPES)
+    @pytest.mark.parametrize("task", ("cls", "1stctrl", "parity", "3rdctrl"))
+    @pytest.mark.parametrize("model,loss", ORACLE_RUNS)
+    @pytest.mark.parametrize("init", ("gaussian", "uniform", "zero"))
+    @pytest.mark.parametrize("with_eval", (False, True))
+    def test_bitwise_equal(self, d, k, task, model, loss, init, with_eval):
+        whole = whole_dataset(task, d)
+        tr = sample_training_set(whole, 25, np.random.default_rng(d + k))
+        if loss == "hinge":
+            cfg = TrainConfig(loss="hinge", init=init, max_steps=400)
+        else:
+            # "zero" stands for xhinge's default: a zero output layer
+            # under a gaussian filter (an all-zero run never moves).
+            init = ("gaussian", "zero") if init == "zero" else init
+            cfg = TrainConfig(loss="xhinge", init=init, max_steps=150)
+        eval_set = whole if with_eval else None
+        want = scalar_train(model, tr, cfg, np.random.default_rng(7), k=k,
+                            eval_set=eval_set, record_weights=True)
+        got = train(model, tr, cfg, np.random.default_rng(7), k=k,
+                    eval_set=eval_set, record_weights=True)
+        assert_same_trace(got, want)
+
+    def test_continued_run_after_zero_loss(self):
+        """Fixed steps past a fitted set leave every weight untouched,
+        as in the scalar loop."""
+        whole = whole_dataset("cls", 40)
+        tr = sample_training_set(whole, 20, np.random.default_rng(1))
+        cfg = TrainConfig(loss="hinge")
+        for model in ("1layer", "conv", "fc"):
+            first = train(model, tr, cfg, np.random.default_rng(2), k=10)
+            more = continue_config(cfg, 3)
+            want = scalar_train(model, tr, more, None, initial=first.weights,
+                                record_weights=True)
+            got = train(model, tr, more, None, initial=first.weights,
+                        record_weights=True)
+            assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("model,cfg", [
+        ("conv", TrainConfig(loss="hinge", alpha=1e3)),
+        ("conv", TrainConfig(loss="hinge", alpha=1e308)),
+        ("fc", TrainConfig(loss="hinge", alpha=1e308)),
+        ("conv", TrainConfig(loss="xhinge", alpha=1e3, max_steps=500,
+                             renormalize=False)),
+    ])
+    def test_divergence_matches(self, model, cfg):
+        """A diverging run raises at the same step with the same message
+        (steps 59 and 1 for these runs)."""
+        whole = whole_dataset("cls", 20)
+        tr = sample_training_set(whole, 10, np.random.default_rng(3))
+        with pytest.raises(NumericalError) as want:
+            scalar_train(model, tr, cfg, np.random.default_rng(4), k=3,
+                         eval_set=whole)
+        with pytest.raises(NumericalError) as got:
+            train(model, tr, cfg, np.random.default_rng(4), k=3,
+                  eval_set=whole)
+        assert str(got.value) == str(want.value)
 
 
 class TestTraceSerialization:
