@@ -137,6 +137,8 @@ class ExperimentSpec:
             self.trials = exp.trials
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n is not None:
             self.n = tuple(int(v) for v in self.n)
         elif exp.single_n is not None:

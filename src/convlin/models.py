@@ -20,18 +20,39 @@ A training step is a fixed handful of array operations.  Once per call,
 signed sparse design: the positions and the y * x values of each point's
 nonzeros.  Each step collapses the weights to one effective vector c and
 gathers it at those positions for the train and eval margins.  The hinge
-loss is one maximum and one sum, each error two exact counts, and the
-active sum s one bincount.  For conv, the output gradient adds the
+loss is one maximum and one sum, each error one exact sum of signs, and
+the active sum s one bincount.  For conv, the output gradient adds the
 shifted copies of s, read as a window view of a zero-padded buffer, one
 lag after another, and the filter gradient takes one BLAS dot per lag.
+
+The one-layer model advances a block of steps at a time.  While the
+active set stays the same, every step adds the same v = (alpha / n) s to
+w, so the weights of J steps are one cumulative sum down the rows
+[w + v; v; ...; v], and their margins one (J, N) gather.  The block ends
+at the first row whose active set differs, which starts the next block.
+J comes from each margin's predicted crossing of 1, as the margins move
+linearly with the step count; the prediction only sets how much is
+computed, and the change test decides every result.  Where the active
+set changes at every step, as late in a 3rdctrl run, each block is one
+step.  The steps of several blocks are scored together, in batches of
+rows: the losses as row sums, the errors as row sums of signs.  Conv
+and fc updates are bilinear in the weights, so those models step one
+at a time.
 
 The result is bit for bit that of the per-point, per-lag loop kept as
 the oracle in the tests.  Every y * x entry is +-1, so s is an integer
 vector and exact in any summation order, and a margin is the same sum of
-at most two signed entries of c.  The error counts are exact.  Each lag
-dot is the same BLAS call on the same d - j entries.  A single
+at most two signed entries of c.  The error sums are exact integers.
+Each lag dot is the same BLAS call on the same d - j entries.  A single
 zero-padded dot of length d per lag would not be exact: BLAS splits a
-length-d dot into blocks differently from a length d - j one.
+length-d dot into blocks differently from a length d - j one.  A block
+is exact because a cumulative sum adds sequentially, so each row is the
+repeated in-place w += v, and because the margins array is C-ordered:
+the row sums then run along contiguous rows, each the pairwise sum of
+one 1-D margin vector.  The row sums of a Fortran-ordered array would
+add its columns one after another, a sequential sum.  A state with no
+active point is never touched, since adding a zero v would turn -0.0
+into +0.0.
 """
 
 import csv
@@ -288,41 +309,143 @@ def _signed_design(data):
 
 
 def _design_margins(c, design):
-    """Margins of the weight vector c on a signed design: the sum over
-    slots of yx * c[positions], added slot by slot."""
+    """Margins on a signed design of the weight vector c, or of each row
+    of a (rows, d) stack c: the sum over slots of yx * c[positions],
+    added slot by slot.  A stack gives a C-ordered (rows, N) array."""
     positions, yx = design
-    prod = yx * c[positions]
-    m = prod[0]
-    for slot in prod[1:]:
-        m = m + slot
+    prod = yx * c.take(positions, axis=-1)
+    m = prod[..., 0, :]
+    for j in range(1, yx.shape[0]):
+        m = m + prod[..., j, :]
     return m
 
 
 def _design_error(m):
-    """error_from_margins(m), from two exact counts."""
-    return (np.count_nonzero(m < 0.0) + 0.5 * np.count_nonzero(m == 0.0)) / m.shape[0]
+    """error_from_margins(m) along the last axis, from one exact sum:
+    with a NaN sign taken as 1 (a NaN margin is neither wrong nor tied),
+    n - sum(sign m) is the integer 2 * wrong + tied."""
+    n = m.shape[-1]
+    sign = np.sign(m)
+    np.fmin(sign, 1.0, out=sign)
+    return (n - sign.sum(axis=-1)) / (2 * n)
 
 
-def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
-          record_weights=False):
-    """Full-batch gradient descent on a training set.
+def _active_sum(act, design, d):
+    """The sum s of y * x over the active points, as a dense d-vector.
+    Every y * x entry is +-1, so s is an integer vector, the same in any
+    summation order."""
+    positions, yx = design
+    return np.bincount(positions.ravel(), weights=(yx * act).ravel(),
+                       minlength=d)
 
-    ``initial`` overrides the drawn init (it is copied, never mutated).
-    With ``eval_set`` given, the whole-dataset error is recorded every
-    step.  Returns a TrainTrace; the stop reason is "loss-zero",
-    "step-budget" (loss_zero rule ran out of steps) or "fixed-steps".
-    Raises NumericalError at the first step whose loss is not finite,
-    and when the final weights are not finite.
-    """
-    if config.loss == "xhinge" and model != "conv":
-        raise ConfigError("extreme-hinge training is defined for the conv model")
-    weights = initial.copy() if initial is not None else init_weights(
-        model, tr.d, k, config, rng)
 
+def _diverged(model, config, what):
+    return NumericalError(f"{model} {config.loss} training diverged at "
+                          f"alpha={config.alpha}: {what}")
+
+
+def _budget_reason(config):
+    return "step-budget" if config.stop_rule == "loss_zero" else "fixed-steps"
+
+
+# Cap on rows x width of the arrays that hold and score one-layer steps,
+# width being the largest of n, the eval set size and d: about 128 KB per
+# float array, so that the arrays of one scoring stay in cache.
+BLOCK_ELEMENTS = 1 << 14
+
+
+def _linear_hinge_blocks(weights, design, eval_design, config, snaps):
+    """One-layer hinge descent, a block of steps at a time (see the
+    module docstring).  Sets ``weights.w`` to the final weights and
+    returns the per-step losses, train errors and eval errors and the
+    stop reason."""
+    n, d = design[1].shape[1], weights.w.shape[0]
+    width = max(n, d, 0 if eval_design is None else eval_design[1].shape[1])
+    max_rows = max(1, BLOCK_ELEMENTS // width)
+    scale = config.alpha / n
+    losses, terrs, eerrs = [], [], []
+    pending = []  # (states, margins) blocks of steps not yet scored
+
+    def score():
+        """Record the pending steps; raise at the first non-finite loss."""
+        states = np.concatenate([block for block, _ in pending])
+        m = np.concatenate([margins for _, margins in pending])
+        pending.clear()
+        h = 1.0 - m
+        np.maximum(h, 0.0, out=h)
+        loss = h.sum(axis=1) / n
+        finite = np.isfinite(loss)
+        if not finite.all():
+            step = sum(map(len, losses)) + int(finite.argmin())
+            raise _diverged("1layer", config,
+                            f"the loss at step {step} is not finite")
+        losses.append(loss)
+        terrs.append(_design_error(m))
+        if eval_design is not None:
+            eerrs.append(_design_error(_design_margins(states, eval_design)))
+        if snaps is not None:
+            snaps.extend(LinearWeights(row) for row in states)
+
+    # A step whose loss is not finite is found when the steps are scored,
+    # in order, before any later stop takes effect; the steps past it
+    # only compute values that are never recorded.
+    w = weights.w
+    m0 = _design_margins(w, design)
+    pending.append((w[None], m0[None]))
+    t, unscored = 0, 1  # the step of w; the rows in ``pending``
+    while True:
+        act = m0 < 1.0
+        fitted = not act.any()  # the loss is zero
+        if (fitted and config.stop_rule == "loss_zero") or t == config.max_steps:
+            break
+        steps = min(max_rows, config.max_steps - t)
+        if fitted:
+            # A fixed point: the weights are never touched, since adding a
+            # zero would turn -0.0 into +0.0.
+            states = np.broadcast_to(w, (steps, d))
+            m = np.broadcast_to(m0, (steps, n))
+        else:
+            # Each step adds the same v while the active set stays that of w.
+            v = scale * _active_sum(act, design, d)
+            states = (w + v)[None]
+            m = _design_margins(states, design)
+            if steps > 1 and not ((m[0] < 1.0) != act).any():
+                # The active set held for a step, so each margin moves by
+                # about m - m0 per step: the block ends at the first step
+                # at or past the earliest predicted crossing of 1.
+                fastest = np.fmax.reduce((m[0] - m0) / (1.0 - m[0]))
+                if fastest * (steps - 1) > 1.0:
+                    steps = int(1.0 / fastest) + 2
+                block = np.empty((steps, d))
+                block[0], block[1:] = states[0], v
+                states = block.cumsum(axis=0, out=block)
+                m = _design_margins(states, design)
+                # Rows past the first change of the active set are not
+                # steps.
+                changed = np.flatnonzero(((m < 1.0) != act).any(axis=1))
+                if changed.size:
+                    states, m = states[: changed[0] + 1], m[: changed[0] + 1]
+        pending.append((states, m))
+        t, unscored = t + len(states), unscored + len(states)
+        w, m0 = states[-1], m[-1]
+        if unscored >= max_rows:
+            score()
+            unscored = 0
+    if unscored:
+        score()
+    weights.w = w.copy()
+    eerrs = np.concatenate(eerrs) if eerrs else np.full(t + 1, np.nan)
+    stop_reason = "loss-zero" if fitted and config.stop_rule == "loss_zero" \
+        else _budget_reason(config)
+    return np.concatenate(losses), np.concatenate(terrs), eerrs, stop_reason
+
+
+def _stepwise(model, tr, weights, design, eval_design, config, snaps):
+    """Conv and fc hinge, and conv xhinge, descent one step at a time:
+    their updates are bilinear in the weights.  Updates ``weights`` in
+    place and returns the per-step losses, train errors and eval errors,
+    the stop reason and the renormalization count."""
     n, d = len(tr), tr.d
-    design = _signed_design(tr)
-    positions = design[0].ravel()
-    eval_design = None if eval_set is None else _signed_design(eval_set)
     scale = config.alpha / n
     if model == "conv" and config.loss == "hinge":
         kw = weights.w1.shape[0]
@@ -341,75 +464,89 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
         mtr = training_average(tr, weights.w1.shape[0]).matrix
 
     losses, terrs, eerrs = [], [], []
+    renorms = 0
+    for t in range(config.max_steps + 1):
+        c = effective_weights(weights)
+        m = _design_margins(c, design)
+        if config.loss == "hinge":
+            h = 1.0 - m
+            np.maximum(h, 0.0, out=h)
+        else:
+            h = -m
+        loss = float(h.sum()) / n
+        if not math.isfinite(loss):
+            raise _diverged(model, config, f"the loss at step {t} is not finite")
+        losses.append(loss)
+        terrs.append(_design_error(m))
+        eerrs.append(np.nan if eval_design is None
+                     else _design_error(_design_margins(c, eval_design)))
+        if snaps is not None:
+            snaps.append(weights.copy())
+
+        if config.stop_rule == "loss_zero" and loss == 0.0:
+            return losses, terrs, eerrs, "loss-zero", renorms
+        if t == config.max_steps:
+            return losses, terrs, eerrs, _budget_reason(config), renorms
+
+        if config.loss == "xhinge":
+            w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
+            w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
+            weights.w1, weights.w2 = w1_new, w2_new
+            if config.renormalize:
+                mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
+                if mx > RENORM_THRESHOLD:
+                    weights.w1 /= mx
+                    weights.w2 /= mx
+                    renorms += 1
+        elif loss > 0.0:  # some margin is below 1
+            s = _active_sum(m < 1.0, design, d)
+            if model == "conv":
+                s_pad[:d] = s
+                g1 = np.fromiter(map(np.dot, s_tails, w2_heads), float, kw)
+                g2 = (weights.w1[:, None] * shifted).sum(axis=0)
+                weights.w1 += scale * g1
+                weights.w2 += scale * g2
+            else:
+                g_W1 = np.outer(weights.w2, s)
+                g_w2 = weights.W1 @ s
+                weights.W1 += scale * g_W1
+                weights.w2 += scale * g_w2
+
+
+def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
+          record_weights=False):
+    """Full-batch gradient descent on a training set.
+
+    ``initial`` overrides the drawn init (it is copied, never mutated).
+    With ``eval_set`` given, the whole-dataset error is recorded every
+    step.  Returns a TrainTrace; the stop reason is "loss-zero",
+    "step-budget" (loss_zero rule ran out of steps) or "fixed-steps".
+    Raises NumericalError at the first step whose loss is not finite,
+    and when the final weights are not finite.
+    """
+    if config.loss == "xhinge" and model != "conv":
+        raise ConfigError("extreme-hinge training is defined for the conv model")
+    weights = initial.copy() if initial is not None else init_weights(
+        model, tr.d, k, config, rng)
+    design = _signed_design(tr)
+    eval_design = None if eval_set is None else _signed_design(eval_set)
     snaps = [] if record_weights else None
     renorms = 0
-    stop_reason = "fixed-steps"
 
-    # An overflowing step is caught by the finiteness check on the next
-    # step's loss, so numpy's overflow warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(config.max_steps + 1):
-            c = effective_weights(weights)
-            m = _design_margins(c, design)
-            if config.loss == "hinge":
-                h = 1.0 - m
-                np.maximum(h, 0.0, out=h)
-            else:
-                h = -m
-            loss = float(h.sum()) / n
-            if not math.isfinite(loss):
-                raise NumericalError(
-                    f"{model} {config.loss} training diverged at "
-                    f"alpha={config.alpha}: the loss at step {t} is not finite")
-            losses.append(loss)
-            terrs.append(_design_error(m))
-            eerrs.append(np.nan if eval_design is None
-                         else _design_error(_design_margins(c, eval_design)))
-            if snaps is not None:
-                snaps.append(weights.copy())
-
-            if config.stop_rule == "loss_zero" and loss == 0.0:
-                stop_reason = "loss-zero"
-                break
-            if t == config.max_steps:
-                stop_reason = ("step-budget" if config.stop_rule == "loss_zero"
-                               else "fixed-steps")
-                break
-
-            if config.loss == "xhinge":
-                w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
-                w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
-                weights.w1, weights.w2 = w1_new, w2_new
-                if config.renormalize:
-                    mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
-                    if mx > RENORM_THRESHOLD:
-                        weights.w1 /= mx
-                        weights.w2 /= mx
-                        renorms += 1
-            elif loss > 0.0:  # some margin is below 1
-                # Every y * x entry is +-1, so the active sum s is an
-                # integer vector, the same in any summation order.
-                act = m < 1.0
-                s = np.bincount(positions, weights=(design[1] * act).ravel(),
-                                minlength=d)
-                if model == "1layer":
-                    weights.w += scale * s
-                elif model == "conv":
-                    s_pad[:d] = s
-                    g1 = np.fromiter(map(np.dot, s_tails, w2_heads), float, kw)
-                    g2 = (weights.w1[:, None] * shifted).sum(axis=0)
-                    weights.w1 += scale * g1
-                    weights.w2 += scale * g2
-                else:
-                    g_W1 = np.outer(weights.w2, s)
-                    g_w2 = weights.W1 @ s
-                    weights.W1 += scale * g_W1
-                    weights.w2 += scale * g_w2
+    # An overflowing step is caught by the finiteness check on a later
+    # step's loss, so numpy's overflow warnings would only repeat it.  A
+    # margin that does not move predicts its crossing at infinity.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if model == "1layer":
+            losses, terrs, eerrs, stop_reason = _linear_hinge_blocks(
+                weights, design, eval_design, config, snaps)
+        else:
+            losses, terrs, eerrs, stop_reason, renorms = _stepwise(
+                model, tr, weights, design, eval_design, config, snaps)
 
     if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
-        raise NumericalError(
-            f"{model} {config.loss} training diverged at alpha={config.alpha}: "
-            f"the weights after step {len(losses) - 1} are not finite")
+        raise _diverged(model, config,
+                        f"the weights after step {len(losses) - 1} are not finite")
 
     return TrainTrace(
         steps=np.arange(len(losses)),

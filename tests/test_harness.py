@@ -538,6 +538,15 @@ class TestMain:
             assert cli.main(argv) == 1, line
             assert "configuration error" in capsys.readouterr().err
 
+    def test_negative_seed_is_exit_one(self, tmp_path, capsys):
+        base = ["gen-curve", "--d", "20", "--k", "2", "--n", "4", "--trials", "1"]
+        assert cli.main(base + ["--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        assert cli.main(base + ["--config", str(cfg)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_out_in_missing_directory_is_exit_one(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "rows.csv"
         argv = ["gen-curve", "--d", "20", "--k", "2", "--n", "4", "--trials",

@@ -20,6 +20,7 @@ from convlin.models import (
     LinearWeights,
     TrainConfig,
     TrainTrace,
+    _design_error,
     classification_error,
     continue_config,
     effective_weights,
@@ -106,6 +107,15 @@ class TestErrorRule:
         whole = whole_dataset("cls", 4)
         w = LinearWeights(np.array([1.0, 0.0, 0.0, 0.0]))
         assert classification_error(w, whole) == 3.0 / 8.0
+
+    def test_design_error_matches(self):
+        """The training loop's sum of signs counts as error_from_margins
+        does: a NaN margin is neither wrong nor tied, -0.0 is a tie."""
+        rows = np.array([[-1.0, 0.0, np.nan, 2.0, -0.0, np.inf, -np.inf],
+                         [np.nan, np.nan, 1.0, 1.0, 1.0, -3.0, 5e-324]])
+        want = [error_from_margins(row) for row in rows]
+        assert _design_error(rows).tolist() == want
+        assert [_design_error(row) for row in rows] == want
 
     def test_scale_invariance(self):
         whole = whole_dataset("parity", 9)
@@ -545,7 +555,9 @@ def scalar_train(model, tr, config, rng, k=None, eval_set=None,
 def assert_same_weights(a, b):
     assert type(a) is type(b)
     for name, tensor in vars(a).items():
-        assert np.array_equal(tensor, getattr(b, name)), name
+        other = getattr(b, name)
+        assert np.array_equal(tensor, other), name
+        assert np.array_equal(np.signbit(tensor), np.signbit(other)), name
 
 
 def assert_same_trace(a, b):
@@ -596,18 +608,69 @@ class TestScalarOracle:
 
     def test_continued_run_after_zero_loss(self):
         """Fixed steps past a fitted set leave every weight untouched,
-        as in the scalar loop."""
+        as in the scalar loop, down to the sign of a zero."""
         whole = whole_dataset("cls", 40)
         tr = sample_training_set(whole, 20, np.random.default_rng(1))
         cfg = TrainConfig(loss="hinge")
+        more = continue_config(cfg, 3)
         for model in ("1layer", "conv", "fc"):
             first = train(model, tr, cfg, np.random.default_rng(2), k=10)
-            more = continue_config(cfg, 3)
             want = scalar_train(model, tr, more, None, initial=first.weights,
                                 record_weights=True)
             got = train(model, tr, more, None, initial=first.weights,
                         record_weights=True)
             assert_same_trace(got, want)
+        # The positions no training point uses do not move the margins.
+        w = train("1layer", tr, cfg, np.random.default_rng(2)).weights.w
+        w[np.setdiff1d(np.arange(40), tr.positions)] = -0.0
+        got = train("1layer", tr, more, None, initial=LinearWeights(w))
+        assert np.all(np.signbit(got.weights.w) == np.signbit(w))
+
+    @pytest.mark.parametrize("task,max_steps", [("cls", 100_000),
+                                                ("3rdctrl", 2000)])
+    @pytest.mark.parametrize("with_eval", (False, True))
+    def test_linear_blocks_at_scale(self, task, max_steps, with_eval):
+        """d = 100, n = 300.  A cls run takes blocks of tens of steps to
+        zero loss.  The 3rdctrl active set changes at almost every step,
+        and its 9900-point whole set caps a block at one step."""
+        whole = whole_dataset(task, 100)
+        tr = sample_training_set(whole, 300, np.random.default_rng(11))
+        cfg = TrainConfig(loss="hinge", max_steps=max_steps)
+        eval_set = whole if with_eval else None
+        want = scalar_train("1layer", tr, cfg, np.random.default_rng(12),
+                            eval_set=eval_set, record_weights=True)
+        got = train("1layer", tr, cfg, np.random.default_rng(12),
+                    eval_set=eval_set, record_weights=True)
+        assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("max_steps", (1, 2, 37))
+    def test_linear_budget_inside_block(self, max_steps):
+        """The step budget ends the run inside the first block, whose
+        active set holds for hundreds of steps."""
+        whole = whole_dataset("cls", 100)
+        tr = sample_training_set(whole, 300, np.random.default_rng(11))
+        cfg = TrainConfig(loss="hinge", max_steps=max_steps)
+        want = scalar_train("1layer", tr, cfg, np.random.default_rng(12),
+                            eval_set=whole, record_weights=True)
+        got = train("1layer", tr, cfg, np.random.default_rng(12),
+                    eval_set=whole, record_weights=True)
+        assert got.stop_reason == "step-budget"
+        assert_same_trace(got, want)
+
+    def test_linear_divergence_matches(self):
+        """No one-layer run from the default init scale diverged, even at
+        alpha = 1.7e308; at b = 1 this 3rdctrl run overflows in its first
+        step."""
+        whole = whole_dataset("3rdctrl", 3)
+        tr = sample_training_set(whole, 9, np.random.default_rng(19))
+        cfg = TrainConfig(loss="hinge", alpha=1.2e308, b=1.0)
+        with pytest.raises(NumericalError) as want:
+            scalar_train("1layer", tr, cfg, np.random.default_rng(20),
+                         eval_set=whole)
+        with pytest.raises(NumericalError) as got:
+            train("1layer", tr, cfg, np.random.default_rng(20), eval_set=whole)
+        assert str(got.value) == str(want.value)
+        assert "the loss at step 1 is not finite" in str(got.value)
 
     @pytest.mark.parametrize("model,cfg", [
         ("conv", TrainConfig(loss="hinge", alpha=1e3)),
