@@ -32,7 +32,7 @@ import numpy as np
 
 from . import models
 from .errors import NumericalError, StepOverflowError
-from .linalg import DEFAULT_REL_TOL, fix_top_pair_sign, thin_svd
+from .linalg import fix_top_pair_sign, thin_svd
 from .shift import TrainingAverage, signed_shift_matrix, training_average
 from .tasks import sample_training_set
 
@@ -62,7 +62,7 @@ class ClosedFormStep:
     w2: np.ndarray
 
 
-def closed_form_weights(w1_0, w2_0, mtr, alpha, t, rel_tol=DEFAULT_REL_TOL):
+def closed_form_weights(w1_0, w2_0, mtr, alpha, t):
     """Evaluate the extreme-hinge iterate at step t in closed form.
 
     Matches iterative training bit-for-bit up to roundoff for any t and
@@ -74,7 +74,7 @@ def closed_form_weights(w1_0, w2_0, mtr, alpha, t, rel_tol=DEFAULT_REL_TOL):
     M = _matrix(mtr)
     w1_0 = np.asarray(w1_0, float)
     w2_0 = np.asarray(w2_0, float)
-    dec = thin_svd(M, rel_tol=rel_tol)
+    dec = thin_svd(M)
     top = 1.0 + alpha * dec.sigma[0]
     if t * math.log(top) > math.log(_OVERFLOW_LIMIT):
         max_t = int(math.log(_OVERFLOW_LIMIT) / math.log(top))
@@ -107,13 +107,13 @@ class AsymptoticWeights:
         return models.ConvWeights(w1=self.w1, w2=self.w2)
 
 
-def asymptotic_weights(w1_0, mtr, rel_tol=DEFAULT_REL_TOL):
+def asymptotic_weights(w1_0, mtr):
     """Project an init onto the top singular space of the training average.
 
     Both output vectors have the same norm, ``|V_m.T w1_0|``.
     """
     M = _matrix(mtr)
-    dec = thin_svd(M, rel_tol=rel_tol)
+    dec = thin_svd(M)
     w1_0 = np.asarray(w1_0, float)
     Vm = dec.V[:, : dec.m]
     coef = Vm.T @ w1_0
@@ -141,7 +141,6 @@ def asymptotic_error(aw, dataset):
 
 
 def asymptotic_error_for_trainset(whole, tr, k, rng=None,
-                                  rel_tol=DEFAULT_REL_TOL,
                                   degenerate_draws=DEFAULT_DEGENERATE_DRAWS,
                                   mtr=None):
     """Limiting error for one training set.
@@ -155,7 +154,7 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
     """
     if mtr is None:
         mtr = training_average(tr, k)
-    dec = thin_svd(mtr.matrix, rel_tol=rel_tol)
+    dec = thin_svd(mtr.matrix)
     if dec.m == 1:
         u, v = fix_top_pair_sign(dec).top_pair
         aw = AsymptoticWeights(w1=v, w2=u, m=1)
@@ -164,7 +163,7 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
         raise ValueError("degenerate top pair needs an rng for the fallback")
     total = 0.0
     for _ in range(degenerate_draws):
-        aw = asymptotic_weights(rng.standard_normal(k), mtr, rel_tol=rel_tol)
+        aw = asymptotic_weights(rng.standard_normal(k), mtr)
         total += asymptotic_error(aw, whole)
     return total / degenerate_draws, True
 
@@ -179,7 +178,6 @@ class AsymptoticErrorEstimate:
 
 
 def asymptotic_error_estimate(whole, n, k, trials, rng,
-                              rel_tol=DEFAULT_REL_TOL,
                               degenerate_draws=DEFAULT_DEGENERATE_DRAWS):
     """Monte-Carlo mean of the limiting error over random training sets.
 
@@ -203,8 +201,8 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
         else:
             raise NumericalError("training average cancelled to zero repeatedly")
         err, was_degenerate = asymptotic_error_for_trainset(
-            whole, tr, k, rng=child, rel_tol=rel_tol,
-            degenerate_draws=degenerate_draws, mtr=mtr)
+            whole, tr, k, rng=child, degenerate_draws=degenerate_draws,
+            mtr=mtr)
         errors[i] = err
         degenerate += was_degenerate
     stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

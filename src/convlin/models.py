@@ -15,29 +15,34 @@ full-batch gradient is constant in the weights, so conv training reduces
 to two matrix products with the training average.  Layer updates are
 always simultaneous: both gradients are evaluated at the old weights.
 
-A training step is a fixed handful of array operations.  Once per call,
-`train` stores the training set, and the eval set if one is given, as a
-signed sparse design: the positions and the y * x values of each point's
-nonzeros.  Each step collapses the weights to one effective vector c and
-gathers it at those positions for the train and eval margins.  The hinge
-loss is one maximum and one sum, each error one exact sum of signs, and
-the active sum s one bincount.  For conv, the output gradient adds the
-shifted copies of s, read as a window view of a zero-padded buffer, one
-lag after another, and the filter gradient takes one BLAS dot per lag.
+One loop in `train` runs every model and loss, and each supplies only
+its update.  Once per call, `train` stores the training set, and the
+eval set if one is given, as a signed sparse design: the positions and
+the y * x values of each point's nonzeros.  The loop holds the current
+margins and stops at a zero hinge loss under the loss_zero rule, or at
+the step budget.  Otherwise it calls the update with the active set,
+and the update advances the weights and returns the effective weight
+vectors c and the margins of the J >= 1 steps it took, as (J, d) and
+(J, n) arrays.  The loop scores the steps in batches of rows: the
+losses as row sums, the errors as row sums of signs, the eval errors
+from one gather of the stacked c, and it raises at the first step
+whose loss is not finite.  A fitted state under fixed steps is a fixed
+point: the loop repeats its rows and never calls the update, since
+adding a zero step would turn -0.0 into +0.0.
 
-The one-layer model advances a block of steps at a time.  While the
-active set stays the same, every step adds the same v = (alpha / n) s to
-w, so the weights of J steps are one cumulative sum down the rows
+Conv and fc updates are bilinear in the weights, so they take one step.
+The active sum s is one bincount.  For conv, the output gradient adds
+the shifted copies of s, read as a window view of a zero-padded buffer,
+one lag after another, and the filter gradient takes one BLAS dot per
+lag.  The one-layer update takes a block of steps.  While the active
+set stays the same, every step adds the same v = (alpha / n) s to w, so
+the weights of J steps are one cumulative sum down the rows
 [w + v; v; ...; v], and their margins one (J, N) gather.  The block ends
-at the first row whose active set differs, which starts the next block.
-J comes from each margin's predicted crossing of 1, as the margins move
-linearly with the step count; the prediction only sets how much is
-computed, and the change test decides every result.  Where the active
-set changes at every step, as late in a 3rdctrl run, each block is one
-step.  The steps of several blocks are scored together, in batches of
-rows: the losses as row sums, the errors as row sums of signs.  Conv
-and fc updates are bilinear in the weights, so those models step one
-at a time.
+at the first row whose active set differs.  J comes from each margin's
+predicted crossing of 1, as the margins move linearly with the step
+count; the prediction only sets how much is computed, and the change
+test decides every result.  Where the active set changes at every step,
+as late in a 3rdctrl run, each block is one step.
 
 The result is bit for bit that of the per-point, per-lag loop kept as
 the oracle in the tests.  Every y * x entry is +-1, so s is an integer
@@ -47,17 +52,15 @@ Each lag dot is the same BLAS call on the same d - j entries.  A single
 zero-padded dot of length d per lag would not be exact: BLAS splits a
 length-d dot into blocks differently from a length d - j one.  A block
 is exact because a cumulative sum adds sequentially, so each row is the
-repeated in-place w += v, and because the margins array is C-ordered:
-the row sums then run along contiguous rows, each the pairwise sum of
-one 1-D margin vector.  The row sums of a Fortran-ordered array would
-add its columns one after another, a sequential sum.  A state with no
-active point is never touched, since adding a zero v would turn -0.0
-into +0.0.
+repeated in-place w += v.  The batched losses are exact because the
+margins array is C-ordered: the row sums then run along contiguous
+rows, each the pairwise sum of one 1-D margin vector.  The row sums of
+a Fortran-ordered array would add its columns one after another, a
+sequential sum.
 """
 
-import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -208,12 +211,6 @@ class TrainTrace:
                 "" if np.isnan(te) else repr(float(te)),
             ]
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            writer.writerows(self.csv_rows())
-
 
 def effective_weights(weights):
     """Collapse any model to the equivalent single weight vector c with
@@ -344,173 +341,111 @@ def _diverged(model, config, what):
                           f"alpha={config.alpha}: {what}")
 
 
-def _budget_reason(config):
-    return "step-budget" if config.stop_rule == "loss_zero" else "fixed-steps"
-
-
-# Cap on rows x width of the arrays that hold and score one-layer steps,
+# Cap on rows x width of the arrays that hold and score a batch of steps,
 # width being the largest of n, the eval set size and d: about 128 KB per
 # float array, so that the arrays of one scoring stay in cache.
 BLOCK_ELEMENTS = 1 << 14
 
 
-def _linear_hinge_blocks(weights, design, eval_design, config, snaps):
-    """One-layer hinge descent, a block of steps at a time (see the
-    module docstring).  Sets ``weights.w`` to the final weights and
-    returns the per-step losses, train errors and eval errors and the
-    stop reason."""
-    n, d = design[1].shape[1], weights.w.shape[0]
-    width = max(n, d, 0 if eval_design is None else eval_design[1].shape[1])
-    max_rows = max(1, BLOCK_ELEMENTS // width)
-    scale = config.alpha / n
-    losses, terrs, eerrs = [], [], []
-    pending = []  # (states, margins) blocks of steps not yet scored
-
-    def score():
-        """Record the pending steps; raise at the first non-finite loss."""
-        states = np.concatenate([block for block, _ in pending])
-        m = np.concatenate([margins for _, margins in pending])
-        pending.clear()
-        h = 1.0 - m
-        np.maximum(h, 0.0, out=h)
-        loss = h.sum(axis=1) / n
-        finite = np.isfinite(loss)
-        if not finite.all():
-            step = sum(map(len, losses)) + int(finite.argmin())
-            raise _diverged("1layer", config,
-                            f"the loss at step {step} is not finite")
-        losses.append(loss)
-        terrs.append(_design_error(m))
-        if eval_design is not None:
-            eerrs.append(_design_error(_design_margins(states, eval_design)))
-        if snaps is not None:
-            snaps.extend(LinearWeights(row) for row in states)
-
-    # A step whose loss is not finite is found when the steps are scored,
-    # in order, before any later stop takes effect; the steps past it
-    # only compute values that are never recorded.
-    w = weights.w
-    m0 = _design_margins(w, design)
-    pending.append((w[None], m0[None]))
-    t, unscored = 0, 1  # the step of w; the rows in ``pending``
-    while True:
-        act = m0 < 1.0
-        fitted = not act.any()  # the loss is zero
-        if (fitted and config.stop_rule == "loss_zero") or t == config.max_steps:
-            break
-        steps = min(max_rows, config.max_steps - t)
-        if fitted:
-            # A fixed point: the weights are never touched, since adding a
-            # zero would turn -0.0 into +0.0.
-            states = np.broadcast_to(w, (steps, d))
-            m = np.broadcast_to(m0, (steps, n))
-        else:
-            # Each step adds the same v while the active set stays that of w.
-            v = scale * _active_sum(act, design, d)
-            states = (w + v)[None]
-            m = _design_margins(states, design)
-            if steps > 1 and not ((m[0] < 1.0) != act).any():
-                # The active set held for a step, so each margin moves by
-                # about m - m0 per step: the block ends at the first step
-                # at or past the earliest predicted crossing of 1.
-                fastest = np.fmax.reduce((m[0] - m0) / (1.0 - m[0]))
-                if fastest * (steps - 1) > 1.0:
-                    steps = int(1.0 / fastest) + 2
-                block = np.empty((steps, d))
-                block[0], block[1:] = states[0], v
-                states = block.cumsum(axis=0, out=block)
-                m = _design_margins(states, design)
-                # Rows past the first change of the active set are not
-                # steps.
-                changed = np.flatnonzero(((m < 1.0) != act).any(axis=1))
-                if changed.size:
-                    states, m = states[: changed[0] + 1], m[: changed[0] + 1]
-        pending.append((states, m))
-        t, unscored = t + len(states), unscored + len(states)
-        w, m0 = states[-1], m[-1]
-        if unscored >= max_rows:
-            score()
-            unscored = 0
-    if unscored:
-        score()
-    weights.w = w.copy()
-    eerrs = np.concatenate(eerrs) if eerrs else np.full(t + 1, np.nan)
-    stop_reason = "loss-zero" if fitted and config.stop_rule == "loss_zero" \
-        else _budget_reason(config)
-    return np.concatenate(losses), np.concatenate(terrs), eerrs, stop_reason
+def _state(weights, design):
+    """The effective weights and margins of ``weights``, as (1, d) and
+    (1, n) arrays."""
+    c = effective_weights(weights)[None]
+    return c, _design_margins(c, design)
 
 
-def _stepwise(model, tr, weights, design, eval_design, config, snaps):
-    """Conv and fc hinge, and conv xhinge, descent one step at a time:
-    their updates are bilinear in the weights.  Updates ``weights`` in
-    place and returns the per-step losses, train errors and eval errors,
-    the stop reason and the renormalization count."""
-    n, d = len(tr), tr.d
-    scale = config.alpha / n
-    if model == "conv" and config.loss == "hinge":
-        kw = weights.w1.shape[0]
-        # The active sum s sits in a buffer padded with kw - 1 zeros, so
-        # row j of the (kw, d) window view is s shifted by j lags.
-        s_pad = np.zeros(d + kw - 1)
-        shifted = sliding_window_view(s_pad, d)
-        # One dot per lag over exactly the d - j overlapping entries (see
-        # the module docstring); the w2 views stay valid because the hinge
-        # step updates w2 in place.
-        s_tails = [s_pad[j:d] for j in range(kw)]
-        w2_heads = [weights.w2[: d - j] for j in range(kw)]
+# The updates.  Each advances ``weights`` from the active set ``act`` of
+# the margins m and returns the effective weights and margins of the
+# steps it took, at most ``steps`` of them (see the module docstring).
+# A hinge step adds ``scale`` = alpha / n times the gradient.
 
-    mtr = None
-    if config.loss == "xhinge":
-        mtr = training_average(tr, weights.w1.shape[0]).matrix
+def _linear_hinge(weights, design, scale):
+    d = weights.w.shape[0]
 
-    losses, terrs, eerrs = [], [], []
-    renorms = 0
-    for t in range(config.max_steps + 1):
-        c = effective_weights(weights)
-        m = _design_margins(c, design)
-        if config.loss == "hinge":
-            h = 1.0 - m
-            np.maximum(h, 0.0, out=h)
-        else:
-            h = -m
-        loss = float(h.sum()) / n
-        if not math.isfinite(loss):
-            raise _diverged(model, config, f"the loss at step {t} is not finite")
-        losses.append(loss)
-        terrs.append(_design_error(m))
-        eerrs.append(np.nan if eval_design is None
-                     else _design_error(_design_margins(c, eval_design)))
-        if snaps is not None:
-            snaps.append(weights.copy())
+    def update(m, act, steps):
+        # Each step adds the same v while the active set stays that of m.
+        v = scale * _active_sum(act, design, d)
+        states = (weights.w + v)[None]
+        margins = _design_margins(states, design)
+        if steps > 1 and not ((margins[0] < 1.0) != act).any():
+            # The active set held for a step, so each margin moves by about
+            # margins - m per step: the block ends at the first step at or
+            # past the earliest predicted crossing of 1.
+            fastest = np.fmax.reduce((margins[0] - m) / (1.0 - margins[0]))
+            if fastest * (steps - 1) > 1.0:
+                steps = int(1.0 / fastest) + 2
+            block = np.empty((steps, d))
+            block[0], block[1:] = states[0], v
+            states = block.cumsum(axis=0, out=block)
+            margins = _design_margins(states, design)
+            # Rows past the first change of the active set are not steps.
+            changed = np.flatnonzero(((margins < 1.0) != act).any(axis=1))
+            if changed.size:
+                states, margins = states[: changed[0] + 1], margins[: changed[0] + 1]
+        weights.w = states[-1]
+        return states, margins
 
-        if config.stop_rule == "loss_zero" and loss == 0.0:
-            return losses, terrs, eerrs, "loss-zero", renorms
-        if t == config.max_steps:
-            return losses, terrs, eerrs, _budget_reason(config), renorms
+    return update
 
-        if config.loss == "xhinge":
-            w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
-            w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
-            weights.w1, weights.w2 = w1_new, w2_new
-            if config.renormalize:
-                mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
-                if mx > RENORM_THRESHOLD:
-                    weights.w1 /= mx
-                    weights.w2 /= mx
-                    renorms += 1
-        elif loss > 0.0:  # some margin is below 1
-            s = _active_sum(m < 1.0, design, d)
-            if model == "conv":
-                s_pad[:d] = s
-                g1 = np.fromiter(map(np.dot, s_tails, w2_heads), float, kw)
-                g2 = (weights.w1[:, None] * shifted).sum(axis=0)
-                weights.w1 += scale * g1
-                weights.w2 += scale * g2
-            else:
-                g_W1 = np.outer(weights.w2, s)
-                g_w2 = weights.W1 @ s
-                weights.W1 += scale * g_W1
-                weights.w2 += scale * g_w2
+
+def _conv_hinge(weights, design, scale):
+    d, kw = weights.w2.shape[0], weights.w1.shape[0]
+    # The active sum s sits in a buffer padded with kw - 1 zeros, so row j
+    # of the (kw, d) window view is s shifted by j lags.
+    s_pad = np.zeros(d + kw - 1)
+    shifted = sliding_window_view(s_pad, d)
+    # One dot per lag over exactly the d - j overlapping entries (see the
+    # module docstring); the w2 views stay valid because w2 is updated in
+    # place.
+    s_tails = [s_pad[j:d] for j in range(kw)]
+    w2_heads = [weights.w2[: d - j] for j in range(kw)]
+
+    def update(m, act, steps):
+        s_pad[:d] = _active_sum(act, design, d)
+        g1 = np.fromiter(map(np.dot, s_tails, w2_heads), float, kw)
+        g2 = (weights.w1[:, None] * shifted).sum(axis=0)
+        weights.w1 += scale * g1
+        weights.w2 += scale * g2
+        return _state(weights, design)
+
+    return update
+
+
+def _fc_hinge(weights, design, scale):
+    d = weights.w2.shape[0]
+
+    def update(m, act, steps):
+        s = _active_sum(act, design, d)
+        g_W1 = np.outer(weights.w2, s)
+        g_w2 = weights.W1 @ s
+        weights.W1 += scale * g_W1
+        weights.w2 += scale * g_w2
+        return _state(weights, design)
+
+    return update
+
+
+def _conv_xhinge(weights, design, config, tr, rescales):
+    """Also appends the common factor of each renormalization to
+    ``rescales``."""
+    mtr = training_average(tr, weights.w1.shape[0]).matrix
+
+    def update(m, act, steps):
+        w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
+        w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
+        weights.w1, weights.w2 = w1_new, w2_new
+        if config.renormalize:
+            mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
+            if mx > RENORM_THRESHOLD:
+                weights.w1 /= mx
+                weights.w2 /= mx
+                rescales.append(mx)
+        return _state(weights, design)
+
+    return update
+
+
+_HINGE_UPDATES = {"1layer": _linear_hinge, "conv": _conv_hinge, "fc": _fc_hinge}
 
 
 def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
@@ -530,32 +465,85 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
         model, tr.d, k, config, rng)
     design = _signed_design(tr)
     eval_design = None if eval_set is None else _signed_design(eval_set)
+    n, d = len(tr), tr.d
+    rescales = []
+    if config.loss == "hinge":
+        update = _HINGE_UPDATES[model](weights, design, config.alpha / n)
+    else:
+        update = _conv_xhinge(weights, design, config, tr, rescales)
+    width = max(n, d, 0 if eval_design is None else eval_design[1].shape[1])
+    max_rows = max(1, BLOCK_ELEMENTS // width)
+    losses, terrs, eerrs = [], [], []
     snaps = [] if record_weights else None
-    renorms = 0
+    pending = []  # (effective weights, margins) of the steps not yet scored
 
-    # An overflowing step is caught by the finiteness check on a later
-    # step's loss, so numpy's overflow warnings would only repeat it.  A
-    # margin that does not move predicts its crossing at infinity.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if model == "1layer":
-            losses, terrs, eerrs, stop_reason = _linear_hinge_blocks(
-                weights, design, eval_design, config, snaps)
+    def score():
+        """Record the pending steps; raise at the first non-finite loss."""
+        c = np.concatenate([rows for rows, _ in pending])
+        m = np.concatenate([rows for _, rows in pending])
+        pending.clear()
+        if config.loss == "hinge":
+            h = 1.0 - m
+            np.maximum(h, 0.0, out=h)
         else:
-            losses, terrs, eerrs, stop_reason, renorms = _stepwise(
-                model, tr, weights, design, eval_design, config, snaps)
+            h = -m
+        loss = h.sum(axis=1) / n
+        finite = np.isfinite(loss)
+        if not finite.all():
+            step = sum(map(len, losses)) + int(finite.argmin())
+            raise _diverged(model, config, f"the loss at step {step} is not finite")
+        losses.append(loss)
+        terrs.append(_design_error(m))
+        if eval_design is not None:
+            eerrs.append(_design_error(_design_margins(c, eval_design)))
+
+    # A step whose loss is not finite is found when the steps are scored,
+    # in order, before any later stop takes effect; the steps past it only
+    # compute values that are never recorded, so numpy's overflow warnings
+    # would only repeat it.  A margin that does not move predicts its
+    # crossing at infinity.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c, m = _state(weights, design)
+        t, unscored = -1, 0  # the step of the last row of c; the rows pending
+        while True:
+            pending.append((c, m))
+            if snaps is not None:
+                snaps.extend(LinearWeights(row) if model == "1layer"
+                             else weights.copy() for row in c)
+            t, unscored = t + len(c), unscored + len(c)
+            if unscored >= max_rows:
+                score()
+                unscored = 0
+            act = m[-1] < 1.0
+            fitted = config.loss == "hinge" and not act.any()  # a zero loss
+            if (fitted and config.stop_rule == "loss_zero") or t == config.max_steps:
+                break
+            steps = min(max_rows, config.max_steps - t)
+            if fitted:
+                # A fixed point: the weights are never touched, since adding
+                # a zero step would turn -0.0 into +0.0.
+                c = np.broadcast_to(c[-1], (steps, d))
+                m = np.broadcast_to(m[-1], (steps, n))
+            else:
+                c, m = update(m[-1], act, steps)
+        if unscored:
+            score()
 
     if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
-        raise _diverged(model, config,
-                        f"the weights after step {len(losses) - 1} are not finite")
+        raise _diverged(model, config, f"the weights after step {t} are not finite")
 
+    if config.stop_rule == "fixed_steps":
+        stop_reason = "fixed-steps"
+    else:
+        stop_reason = "loss-zero" if fitted else "step-budget"
     return TrainTrace(
-        steps=np.arange(len(losses)),
-        train_loss=np.asarray(losses),
-        train_error=np.asarray(terrs),
-        test_error=np.asarray(eerrs),
+        steps=np.arange(t + 1),
+        train_loss=np.concatenate(losses),
+        train_error=np.concatenate(terrs),
+        test_error=np.concatenate(eerrs) if eerrs else np.full(t + 1, np.nan),
         weights=weights,
         stop_reason=stop_reason,
-        renormalizations=renorms,
+        renormalizations=len(rescales),
         weights_per_step=snaps,
     )
 

@@ -6,6 +6,7 @@ used in practice live in test_acceptance.py.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -154,6 +155,64 @@ class TestSeeds:
                             for p in sorted(out.parent.iterdir())})
         assert outputs[0] == outputs[1]
         assert "rows.csv" in outputs[0]
+
+
+class TestGoldenOutputs:
+    """The bytes of pinned-seed runs, frozen as sha256 digests: the CSV,
+    the init-study traces sidecar and the --dump-weights sidecars of the
+    tiny specs, and one JSON run written without a path, so that no path
+    enters the bytes.  The digests were produced with numpy 2.4.6 on
+    OpenBLAS 0.3.31 with its Haswell kernels; another BLAS may round the
+    conv and fc runs differently and fail this test without a fault.
+    """
+
+    DIGESTS = {
+        "gen-curve": {
+            "rows.csv": "5a28bce6e3c91ff2cd3baae60ef9abb778cd8791a21124fcbf7454e67432a15f",
+            "rows.csv.weights.json":
+                "6f7c7cbfd7ce2e415b5eaff06b7ed9af22a6de9bfebf6a495fb51ed253331b75",
+        },
+        "asym-vs-losses": {
+            "rows.csv": "f5218e20938a2436faf3fbf06f49984eac288f32fa25dd471670a1a1b58ed4fb",
+            "rows.csv.weights.json":
+                "03b1afdec3a0fcdf75699afefa56225d84a1be54ab6bb857cd3076fb24f407d9",
+        },
+        "init-study": {
+            "rows.csv": "65463a8753d24dfcc4cb7c2cae8f363107e9408b05e6b5269ffe7b35fc53df76",
+            "rows.csv.traces.csv":
+                "c1d359a23156c0fb2fd12816301f746ac648c0b0197c7a02295abe7ed2874cd0",
+            "rows.csv.weights.json":
+                "4639aeeab244dc532649d2469c2fbec30337fdcbeea92b86fbb2ac9a9971fb9b",
+        },
+        "analysis-curves": {
+            "rows.csv": "ebdd19bc61ae451fa5d7932c532c773e40a88eb47b5fda6d1a14ab3c88ce6d99",
+        },
+        "prop1-check": {
+            "rows.csv": "fd5a0a327fab138cfe1cc51778d0abdb3f23d336192eebf9357572a90694f4a3",
+            "rows.csv.weights.json":
+                "27cbf5ccf77bbd28c1b8444a09503fbb423edd6345c146c26940a943319a7ec0",
+        },
+        "parity-curve": {
+            "rows.csv": "50fcbf5c737b7343977fd8c6a44ae04e3cf9a7615cb625ae4cb7aed994cbdf10",
+            "rows.csv.weights.json":
+                "406d5e2a935c2314ebfc59bccb27ffe7c0f0c9a7b666952edf3d41af71735fdd",
+        },
+    }
+    # gen-curve on 3rdctrl, the task whose active set changes at almost
+    # every step.
+    JSON_DIGEST = "5c85d401fe1d65b789fb65ce0593930a1ce89ff284f6aeee88c0c6e6d9a5c893"
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_files(self, experiment, tmp_path):
+        write_result(run(tiny_spec(experiment)), str(tmp_path / "rows.csv"))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == self.DIGESTS[experiment]
+
+    def test_json_without_path(self):
+        spec = tiny_spec("gen-curve", task="3rdctrl", format="json")
+        text = write_result(run(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.JSON_DIGEST
 
 
 class TestGenCurve:

@@ -5,6 +5,8 @@ steps worked out on paper) and check the larger-scale behaviour
 statistically.
 """
 
+import csv
+import io
 import re
 import warnings
 
@@ -15,6 +17,7 @@ from convlin.errors import ConfigError, NumericalError
 from convlin.models import (
     DEFAULT_ALPHA,
     RENORM_THRESHOLD,
+    TRACE_COLUMNS,
     ConvWeights,
     FCWeights,
     LinearWeights,
@@ -626,20 +629,22 @@ class TestScalarOracle:
         got = train("1layer", tr, more, None, initial=LinearWeights(w))
         assert np.all(np.signbit(got.weights.w) == np.signbit(w))
 
+    @pytest.mark.parametrize("model", ("1layer", "conv", "fc"))
     @pytest.mark.parametrize("task,max_steps", [("cls", 100_000),
                                                 ("3rdctrl", 2000)])
     @pytest.mark.parametrize("with_eval", (False, True))
-    def test_linear_blocks_at_scale(self, task, max_steps, with_eval):
-        """d = 100, n = 300.  A cls run takes blocks of tens of steps to
-        zero loss.  The 3rdctrl active set changes at almost every step,
-        and its 9900-point whole set caps a block at one step."""
+    def test_linear_blocks_at_scale(self, task, max_steps, with_eval, model):
+        """d = 100, k = 5, n = 300: hundreds of steps, scored in batches
+        of up to 54 rows.  A 1layer cls run takes blocks of tens of steps
+        to zero loss.  The 3rdctrl active set changes at almost every
+        step, and its 9900-point whole set caps a batch at one row."""
         whole = whole_dataset(task, 100)
         tr = sample_training_set(whole, 300, np.random.default_rng(11))
         cfg = TrainConfig(loss="hinge", max_steps=max_steps)
         eval_set = whole if with_eval else None
-        want = scalar_train("1layer", tr, cfg, np.random.default_rng(12),
+        want = scalar_train(model, tr, cfg, np.random.default_rng(12), k=5,
                             eval_set=eval_set, record_weights=True)
-        got = train("1layer", tr, cfg, np.random.default_rng(12),
+        got = train(model, tr, cfg, np.random.default_rng(12), k=5,
                     eval_set=eval_set, record_weights=True)
         assert_same_trace(got, want)
 
@@ -694,14 +699,16 @@ class TestScalarOracle:
 
 
 class TestTraceSerialization:
-    def test_csv_layout(self, tmp_path):
+    def test_csv_layout(self):
         tr = single_point_set("cls", 4, 1, 1.0, 1)
         cfg = TrainConfig(loss="hinge", alpha=1.0, init="zero")
         trace = train("1layer", tr, cfg, np.random.default_rng(0),
                       eval_set=whole_dataset("cls", 4))
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        lines = path.read_text().strip().splitlines()
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows(trace.csv_rows())
+        lines = text.getvalue().strip().splitlines()
         assert lines[0] == "t,train_loss,train_err,test_err"
         assert lines[1].startswith("0,1.0,")
         assert len(lines) == 3
