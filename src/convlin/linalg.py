@@ -2,16 +2,14 @@
 
 Thin SVD of a tall matrix on LAPACK, with the top-multiplicity count
 and the sign convention for the leading singular pair, and the two
-classical nonnegative-matrix reachability tests (irreducibility and
-primitivity).
+classical nonnegative-matrix reachability tests: primitivity, and
+irreducibility as primitivity of I + A.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConvergenceError,
@@ -22,7 +20,7 @@ from .errors import (
 
 # Relative gap under which singular values are considered tied when
 # counting the multiplicity of the top one.
-DEFAULT_REL_TOL = 1e-9
+REL_TOL = 1e-9
 
 
 @dataclass
@@ -30,7 +28,7 @@ class SpectralDecomposition:
     """Thin SVD ``M = U @ diag(sigma) @ V.T`` of a tall d x k matrix.
 
     ``sigma`` is sorted descending and ``m`` counts how many leading
-    singular values are within ``rel_tol * sigma[0]`` of the top one
+    singular values are within ``REL_TOL * sigma[0]`` of the top one
     (the top multiplicity).
     """
 
@@ -38,7 +36,6 @@ class SpectralDecomposition:
     sigma: np.ndarray
     V: np.ndarray
     m: int
-    rel_tol: float
 
     @property
     def top_pair(self):
@@ -46,7 +43,7 @@ class SpectralDecomposition:
         return self.U[:, 0], self.V[:, 0]
 
 
-def thin_svd(M, rel_tol=DEFAULT_REL_TOL):
+def thin_svd(M):
     """Thin SVD of a tall d x k matrix on LAPACK.
 
     Only the rows of M that hold a nonzero are decomposed, and their
@@ -72,8 +69,6 @@ def thin_svd(M, rel_tol=DEFAULT_REL_TOL):
     rows = np.flatnonzero(nonzero)
     if rows.size == 0:
         raise ZeroMatrixError("cannot decompose an all-zero matrix")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
 
     r = rows.size
     try:
@@ -92,8 +87,8 @@ def thin_svd(M, rel_tol=DEFAULT_REL_TOL):
     top = sigma[0]
     if not math.isfinite(top):
         raise ConvergenceError("LAPACK SVD returned a non-finite singular value")
-    m = int(np.count_nonzero(top - sigma <= rel_tol * top))
-    return SpectralDecomposition(U=U, sigma=sigma, V=Vt.T, m=m, rel_tol=float(rel_tol))
+    m = int(np.count_nonzero(top - sigma <= REL_TOL * top))
+    return SpectralDecomposition(U=U, sigma=sigma, V=Vt.T, m=m)
 
 
 def fix_top_pair_sign(dec):
@@ -123,7 +118,7 @@ def fix_top_pair_sign(dec):
     if flip:
         U[:, 0] = -U[:, 0]
         V[:, 0] = -V[:, 0]
-    return SpectralDecomposition(U=U, sigma=dec.sigma.copy(), V=V, m=dec.m, rel_tol=dec.rel_tol)
+    return SpectralDecomposition(U=U, sigma=dec.sigma.copy(), V=V, m=dec.m)
 
 
 def _check_square_nonneg(A):
@@ -160,13 +155,14 @@ def is_irreducible(A):
     """Whether a nonnegative square matrix is irreducible.
 
     For k >= 2 this is strong connectivity of the digraph with an edge
-    (i, j) whenever ``A[i, j] > 0``.  A 1 x 1 matrix is irreducible iff
-    its entry is positive (for every (i, j) some positive power must
-    have a positive entry, which for a single node needs a self-loop).
+    (i, j) whenever ``A[i, j] > 0``, which holds exactly when I + A is
+    primitive: (I + A)**(k-1) is a positive combination of I, A, ...,
+    A**(k-1), so it is positive iff every node reaches every other in
+    at most k - 1 steps.  A 1 x 1 matrix is irreducible iff its entry
+    is positive (for every (i, j) some positive power must have a
+    positive entry, which for a single node needs a self-loop).
     """
     A = _check_square_nonneg(A)
     if A.shape[0] == 1:
         return bool(A[0, 0] > 0)
-    graph = csr_matrix(A > 0)
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    return bool(n_comp == 1)
+    return is_primitive_bruteforce(A + np.eye(A.shape[0]))

@@ -10,6 +10,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +523,19 @@ class TestConfigFile:
         assert spec.trials == 7
 
 
+class TestDependencies:
+    def test_import_loads_no_scipy(self):
+        """numpy is the only runtime dependency.  A fresh interpreter is
+        needed because other test modules import scipy into this one."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys, convlin, convlin.harness, convlin.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+
 class TestMain:
     def test_success_writes_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -672,6 +689,17 @@ class TestMain:
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(argv) == 2
         assert "not finite" in capsys.readouterr().err
+
+    def test_overflowing_whole_set_scores_warn_nothing(self, capsys):
+        """Finite weights near 1e308 overflow a two-term score to an
+        infinity of the right sign; the run succeeds without a warning."""
+        argv = ["gen-curve", "--task", "3rdctrl", "--d", "3", "--k", "1",
+                "--n", "9", "--trials", "1", "--alpha", "1.7e308", "--b", "1",
+                "--models", "1layer", "--seed", "2", "--max-steps", "30"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_pearson_reported_for_init_study(self, tmp_path, capsys):
         out = tmp_path / "study.csv"
