@@ -23,26 +23,45 @@ margins and stops at a zero hinge loss under the loss_zero rule, or at
 the step budget.  Otherwise it calls the update with the active set,
 and the update advances the weights and returns the effective weight
 vectors c and the margins of the J >= 1 steps it took, as (J, d) and
-(J, n) arrays.  The loop scores the steps in batches of rows: the
-losses as row sums, the errors as row sums of signs, the eval errors
-from one gather of the stacked c, and it raises at the first step
-whose loss is not finite.  A fitted state under fixed steps is a fixed
-point: the loop repeats its rows and never calls the update, since
-adding a zero step would turn -0.0 into +0.0.
+(J, n) arrays, with the weights after each of those steps, which the
+loop copies only to record them.  The loop scores the steps in batches
+of rows: the losses as row sums, the errors as row sums of signs, the
+eval errors from one gather of the stacked c, and it raises at the
+first step whose loss is not finite.  A fitted state under fixed steps
+is a fixed point: the loop repeats its rows and never calls the update,
+since adding a zero step would turn -0.0 into +0.0.
 
-Conv and fc updates are bilinear in the weights, so they take one step.
-The active sum s is one bincount.  For conv, the output gradient adds
-the shifted copies of s, read as a window view of a zero-padded buffer,
-one lag after another, and the filter gradient takes one BLAS dot per
-lag.  The one-layer update takes a block of steps.  While the active
-set stays the same, every step adds the same v = (alpha / n) s to w, so
-the weights of J steps are one cumulative sum down the rows
-[w + v; v; ...; v], and their margins one (J, N) gather.  The block ends
-at the first row whose active set differs.  J comes from each margin's
-predicted crossing of 1, as the margins move linearly with the step
-count; the prediction only sets how much is computed, and the change
-test decides every result.  Where the active set changes at every step,
-as late in a 3rdctrl run, each block is one step.
+Conv and fc hinge updates take one step per call.  The active sum s is
+one bincount.  For conv, the output gradient adds the shifted copies of
+s, read as a window view of a zero-padded buffer, one lag after
+another, and the filter gradient takes one BLAS dot per lag.  The
+one-layer update takes a block of steps.
+While the active set stays the same, every step adds the same
+v = (alpha / n) s to w, so the weights of J steps are one cumulative sum
+down the rows [w + v; v; ...; v], and their margins one (J, N) gather.
+The block ends at the first row whose active set differs.  J comes from
+each margin's predicted crossing of 1, as the margins move linearly with
+the step count; the prediction only sets how much is computed, and the
+change test decides every result.  Where the active set changes at every
+step, as late in a 3rdctrl run, each block is one step.
+
+The conv xhinge update takes a block of steps too.  Its step is linear
+in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
+training average, and has no active set, so only the step budget and a
+rescale end a block.  A block runs that recurrence row by row into one
+preallocated array of [w1 | w2] rows, with the same two BLAS products
+per step as a single step.  The renormalization test then runs once over
+the block: the first row whose joint max-abs passes RENORM_THRESHOLD is
+rescaled and ends the block, and the rows past it are not steps.  After
+a rescale the weights restart at a joint max-abs of 1 and grow about
+geometrically, so a block ends where the last period between rescales
+predicts the next; where every step rescales, each row is tested as it
+is computed instead.  Then each kept row takes one np.convolve for its
+effective weights, and the block one margins gather.  A lag sum batched
+over the rows would add each entry's k products in another order than
+np.convolve's dot and round differently: at d = 100 and k = 5 it
+differed in some entry for 2000 of 2000 random weights in ascending lag
+order, and for 1370 in descending order.
 
 The result is bit for bit that of the per-point, per-lag loop kept as
 the oracle in the tests.  Every y * x entry is +-1, so s is an integer
@@ -50,12 +69,14 @@ vector and exact in any summation order, and a margin is the same sum of
 at most two signed entries of c.  The error sums are exact integers.
 Each lag dot is the same BLAS call on the same d - j entries.  A single
 zero-padded dot of length d per lag would not be exact: BLAS splits a
-length-d dot into blocks differently from a length d - j one.  A block
-is exact because a cumulative sum adds sequentially, so each row is the
-repeated in-place w += v.  The batched losses are exact because the
-margins array is C-ordered: the row sums then run along contiguous
-rows, each the pairwise sum of one 1-D margin vector.  The row sums of
-a Fortran-ordered array would add its columns one after another, a
+length-d dot into blocks differently from a length d - j one.  A
+one-layer block is exact because a cumulative sum adds sequentially, so
+each row is the repeated in-place w += v.  An xhinge row takes the same
+products, the same rescale and the same convolution of the same vectors
+as a single step.  The batched losses are exact because the margins
+array is C-ordered: the row sums then run along contiguous rows, each
+the pairwise sum of one 1-D margin vector.  The row sums of a
+Fortran-ordered array would add its columns one after another, a
 sequential sum.
 """
 
@@ -202,14 +223,11 @@ class TrainTrace:
     def csv_rows(self):
         """One row per recorded step, under TRACE_COLUMNS; a NaN
         ``test_err`` (no eval set) is written as ""."""
-        for i in range(self.steps.shape[0]):
-            te = self.test_error[i]
-            yield [
-                int(self.steps[i]),
-                repr(float(self.train_loss[i])),
-                repr(float(self.train_error[i])),
-                "" if np.isnan(te) else repr(float(te)),
-            ]
+        return zip(self.steps.tolist(),
+                   map(repr, self.train_loss.tolist()),
+                   map(repr, self.train_error.tolist()),
+                   ["" if math.isnan(te) else repr(te)
+                    for te in self.test_error.tolist()])
 
 
 def effective_weights(weights):
@@ -353,15 +371,18 @@ BLOCK_ELEMENTS = 1 << 13
 
 def _state(weights, design):
     """The effective weights and margins of ``weights``, as (1, d) and
-    (1, n) arrays."""
+    (1, n) arrays, and the 1-tuple of ``weights`` itself, the weights of
+    that one step."""
     c = effective_weights(weights)[None]
-    return c, _design_margins(c, design)
+    return c, _design_margins(c, design), (weights,)
 
 
 # The updates.  Each advances ``weights`` from the active set ``act`` of
 # the margins m and returns the effective weights and margins of the
-# steps it took, at most ``steps`` of them (see the module docstring).
-# A hinge step adds ``scale`` = alpha / n times the gradient.
+# steps it took, at most ``steps`` of them (see the module docstring),
+# and the weights after each of those steps, which the loop copies to
+# record them before the next update.  A hinge step adds ``scale`` =
+# alpha / n times the gradient.
 
 def _linear_hinge(weights, design, scale):
     d = weights.w.shape[0]
@@ -387,7 +408,7 @@ def _linear_hinge(weights, design, scale):
             if changed.size:
                 states, margins = states[: changed[0] + 1], margins[: changed[0] + 1]
         weights.w = states[-1]
-        return states, margins
+        return states, margins, map(LinearWeights, states)
 
     return update
 
@@ -432,19 +453,50 @@ def _fc_hinge(weights, design, scale):
 def _conv_xhinge(weights, design, config, tr, rescales):
     """Also appends the common factor of each renormalization to
     ``rescales``."""
-    mtr = training_average(tr, weights.w1.shape[0]).matrix
+    kw, d, alpha = weights.w1.shape[0], weights.w2.shape[0], config.alpha
+    mtr = training_average(tr, kw).matrix
+
+    # A block tests its rows for a rescale after taking its steps, and the
+    # rows past the first rescale are not steps.  After a rescale the
+    # weights restart at a joint max-abs of 1 and grow about geometrically,
+    # so a block ends at the step where the last period between rescales
+    # predicts the next.  Where every step rescales, each row is tested as
+    # it is computed instead.  Neither choice changes a result.
+    period, since = 0, 0  # steps between the last two rescales; since the last
 
     def update(m, act, steps):
-        w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
-        w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
-        weights.w1, weights.w2 = w1_new, w2_new
+        nonlocal period, since
+        if period > 1:
+            steps = min(steps, max(1, period - since))
+        # Row j of the block is [w1 | w2] after step j, written in place by
+        # the ufunc's positional output argument.
+        block = np.empty((steps, kw + d))
+        w1s, w2s = block[:, :kw], block[:, kw:]
+        w1, w2 = weights.w1, weights.w2
+        for row, a, b in zip(block, w1s, w2s):
+            w1, w2 = (np.add(w1, alpha * (mtr.T @ w2), a),
+                      np.add(w2, alpha * (mtr @ w1), b))
+            since += 1
+            if period == 1:
+                top = np.abs(row).max()
+                if top > RENORM_THRESHOLD:
+                    row /= top
+                    rescales.append(top)
+                    period, since = since, 0
         if config.renormalize:
-            mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
-            if mx > RENORM_THRESHOLD:
-                weights.w1 /= mx
-                weights.w2 /= mx
-                rescales.append(mx)
-        return _state(weights, design)
+            tops = np.abs(block).max(axis=1)
+            over = tops > RENORM_THRESHOLD
+            j = over.argmax()
+            if over[j]:
+                block, w1s, w2s = block[: j + 1], w1s[: j + 1], w2s[: j + 1]
+                block[j] /= tops[j]
+                rescales.append(tops[j])
+                period, since = since - (steps - 1 - j), 0
+        weights.w1, weights.w2 = w1s[-1], w2s[-1]
+        c = np.empty((len(block), d))
+        for row, a, b in zip(c, w2s, w1s):
+            row[:] = np.convolve(a, b)[:d]
+        return c, _design_margins(c, design), map(ConvWeights, w1s, w2s)
 
     return update
 
@@ -507,13 +559,12 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     # would only repeat it.  A margin that does not move predicts its
     # crossing at infinity.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c, m = _state(weights, design)
+        c, m, stepped = _state(weights, design)
         t, unscored = -1, 0  # the step of the last row of c; the rows pending
         while True:
             pending.append((c, m))
             if snaps is not None:
-                snaps.extend(LinearWeights(row) if model == "1layer"
-                             else weights.copy() for row in c)
+                snaps.extend(w.copy() for w in stepped)
             t, unscored = t + len(c), unscored + len(c)
             if unscored >= max_rows:
                 score()
@@ -528,8 +579,9 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
                 # a zero step would turn -0.0 into +0.0.
                 c = np.broadcast_to(c[-1], (steps, d))
                 m = np.broadcast_to(m[-1], (steps, n))
+                stepped = [weights] * steps
             else:
-                c, m = update(m[-1], act, steps)
+                c, m, stepped = update(m[-1], act, steps)
         if unscored:
             score()
 

@@ -662,6 +662,39 @@ class TestScalarOracle:
         assert got.stop_reason == "step-budget"
         assert_same_trace(got, want)
 
+    @pytest.mark.parametrize("d,k", ORACLE_SHAPES)
+    @pytest.mark.parametrize("alpha,max_steps,rescales", [
+        (0.7, 1000, 1), (1e30, 300, 75), (1e200, 200, 200)])
+    def test_xhinge_rescaling_blocks(self, d, k, alpha, max_steps, rescales):
+        """Extreme-hinge blocks that rescale: once, near step 840, at
+        alpha 0.7; every fourth step at 1e30; and at every step at 1e200,
+        where each row is tested as it is computed."""
+        whole = whole_dataset("cls", d)
+        tr = sample_training_set(whole, 25, np.random.default_rng(d + k))
+        cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
+        want = scalar_train("conv", tr, cfg, np.random.default_rng(7), k=k,
+                            eval_set=whole, record_weights=True)
+        got = train("conv", tr, cfg, np.random.default_rng(7), k=k,
+                    eval_set=whole, record_weights=True)
+        assert got.renormalizations == rescales
+        assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("alpha", (0.1, 1e30, 1e200))
+    @pytest.mark.parametrize("max_steps", (1, 2, 37))
+    def test_xhinge_budget_inside_block(self, alpha, max_steps):
+        """At d = 100 and n = 30, with the 200-point whole set as eval set,
+        a batch holds 40 rows: these budgets end the run inside the
+        first batch, with or without rescales."""
+        whole = whole_dataset("cls", 100)
+        tr = sample_training_set(whole, 30, np.random.default_rng(11))
+        cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
+        want = scalar_train("conv", tr, cfg, np.random.default_rng(12), k=5,
+                            eval_set=whole, record_weights=True)
+        got = train("conv", tr, cfg, np.random.default_rng(12), k=5,
+                    eval_set=whole, record_weights=True)
+        assert got.steps_run == max_steps
+        assert_same_trace(got, want)
+
     def test_linear_divergence_matches(self):
         """No one-layer run from the default init scale diverged, even at
         alpha = 1.7e308; at b = 1 this 3rdctrl run overflows in its first
@@ -683,10 +716,17 @@ class TestScalarOracle:
         ("fc", TrainConfig(loss="hinge", alpha=1e308)),
         ("conv", TrainConfig(loss="xhinge", alpha=1e3, max_steps=500,
                              renormalize=False)),
+        ("conv", TrainConfig(loss="xhinge", alpha=1e300, max_steps=500,
+                             renormalize=False)),
+        ("conv", TrainConfig(loss="xhinge", alpha=1e300, b=1e9)),
+        ("conv", TrainConfig(loss="xhinge", alpha=1e300, b=1e9,
+                             renormalize=False)),
     ])
     def test_divergence_matches(self, model, cfg):
         """A diverging run raises at the same step with the same message
-        (steps 59 and 1 for these runs)."""
+        (steps 59, 2 and 1 for these runs).  At alpha = 1e300 and b = 1e9
+        the first step overflows, and a rescale by an infinite factor
+        leaves NaN weights."""
         whole = whole_dataset("cls", 20)
         tr = sample_training_set(whole, 10, np.random.default_rng(3))
         with pytest.raises(NumericalError) as want:
@@ -698,7 +738,42 @@ class TestScalarOracle:
         assert str(got.value) == str(want.value)
 
 
+def _per_element_rows(trace):
+    """The trace rows formatted one element at a time."""
+    for i in range(trace.steps.shape[0]):
+        te = trace.test_error[i]
+        yield [int(trace.steps[i]), repr(float(trace.train_loss[i])),
+               repr(float(trace.train_error[i])),
+               "" if np.isnan(te) else repr(float(te))]
+
+
+def _csv_text(rows):
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
 class TestTraceSerialization:
+    def test_rows_match_per_element_formatting(self):
+        """Rows read column by column write the same text as rows
+        formatted element by element: -0.0, a NaN test_err as "", and
+        the shortest repr of every float."""
+        values = np.array([1.0, -0.0, 0.1 + 0.2, 1e-300, -2.5e17, np.inf])
+        made = TrainTrace(steps=np.arange(6), train_loss=values,
+                          train_error=values[::-1].copy(),
+                          test_error=np.array([0.5, np.nan, -0.0, 1 / 3,
+                                               np.nan, 0.0]),
+                          weights=None, stop_reason="fixed-steps")
+        whole = whole_dataset("cls", 30)
+        tr = sample_training_set(whole, 15, np.random.default_rng(12))
+        runs = [train("conv", tr, xhinge_config(steps=60),
+                      np.random.default_rng(3), k=4, eval_set=eval_set)
+                for eval_set in (whole, None)]
+        for trace in (made, *runs):
+            got = _csv_text(trace.csv_rows())
+            assert got == _csv_text(_per_element_rows(trace))
+        assert _csv_text(made.csv_rows()).splitlines()[1] == "1,-0.0,-2.5e+17,"
+
     def test_csv_layout(self):
         tr = single_point_set("cls", 4, 1, 1.0, 1)
         cfg = TrainConfig(loss="hinge", alpha=1.0, init="zero")
