@@ -47,21 +47,19 @@ step, as late in a 3rdctrl run, each block is one step.
 
 The conv xhinge update takes a block of steps too.  Its step is linear
 in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
-training average, and has no active set, so only the step budget and a
-rescale end a block.  A block runs that recurrence row by row into one
-preallocated array of [w1 | w2] rows, with the same two BLAS products
-per step as a single step.  The renormalization test then runs once over
-the block: the first row whose joint max-abs passes RENORM_THRESHOLD is
-rescaled and ends the block, and the rows past it are not steps.  After
-a rescale the weights restart at a joint max-abs of 1 and grow about
-geometrically, so a block ends where the last period between rescales
-predicts the next; where every step rescales, each row is tested as it
-is computed instead.  Then each kept row takes one np.convolve for its
-effective weights, and the block one margins gather.  A lag sum batched
-over the rows would add each entry's k products in another order than
-np.convolve's dot and round differently: at d = 100 and k = 5 it
-differed in some entry for 2000 of 2000 random weights in ascending lag
-order, and for 1370 in descending order.
+training average, and has no active set, so only the step budget ends a
+block.  A block runs that recurrence row by row into one preallocated
+array of [w1 | w2] rows, with the same two BLAS products per step as a
+single step, and tests each row for a rescale as it is computed: a row
+whose joint max-abs passes RENORM_THRESHOLD is divided by it in place,
+and the next step starts from the rescaled row, so a block holds any
+number of rescales and no row is computed that is not a step.  Then
+each row takes one np.convolve for its effective weights, through the
+helper that collapses any conv model, and the block one margins gather.
+A lag sum batched over the rows would add each entry's k products in
+another order than np.convolve's dot and round differently: at d = 100
+and k = 5 it differed in some entry for 2000 of 2000 random weights in
+ascending lag order, and for 1370 in descending order.
 
 The result is bit for bit that of the per-point, per-lag loop kept as
 the oracle in the tests.  Every y * x entry is +-1, so s is an integer
@@ -237,11 +235,16 @@ def effective_weights(weights):
     if isinstance(weights, LinearWeights):
         return weights.w
     if isinstance(weights, ConvWeights):
-        d = weights.w2.shape[0]
-        return np.convolve(weights.w2, weights.w1)[:d]
+        return _conv_collapse(weights.w1, weights.w2)
     if isinstance(weights, FCWeights):
         return weights.W1.T @ weights.w2
     raise TypeError(f"unsupported weights type {type(weights).__name__}")
+
+
+def _conv_collapse(w1, w2):
+    """The effective weights of a conv model: w2 convolved with w1,
+    truncated to the input length."""
+    return np.convolve(w2, w1)[: w2.shape[0]]
 
 
 def forward(weights, x):
@@ -456,46 +459,25 @@ def _conv_xhinge(weights, design, config, tr, rescales):
     kw, d, alpha = weights.w1.shape[0], weights.w2.shape[0], config.alpha
     mtr = training_average(tr, kw).matrix
 
-    # A block tests its rows for a rescale after taking its steps, and the
-    # rows past the first rescale are not steps.  After a rescale the
-    # weights restart at a joint max-abs of 1 and grow about geometrically,
-    # so a block ends at the step where the last period between rescales
-    # predicts the next.  Where every step rescales, each row is tested as
-    # it is computed instead.  Neither choice changes a result.
-    period, since = 0, 0  # steps between the last two rescales; since the last
-
     def update(m, act, steps):
-        nonlocal period, since
-        if period > 1:
-            steps = min(steps, max(1, period - since))
         # Row j of the block is [w1 | w2] after step j, written in place by
-        # the ufunc's positional output argument.
+        # the ufunc's positional output argument, and rescaled in place, so
+        # the next step reads the rescaled row.
         block = np.empty((steps, kw + d))
-        w1s, w2s = block[:, :kw], block[:, kw:]
         w1, w2 = weights.w1, weights.w2
-        for row, a, b in zip(block, w1s, w2s):
-            w1, w2 = (np.add(w1, alpha * (mtr.T @ w2), a),
-                      np.add(w2, alpha * (mtr @ w1), b))
-            since += 1
-            if period == 1:
+        for row in block:
+            w1, w2 = (np.add(w1, alpha * (mtr.T @ w2), row[:kw]),
+                      np.add(w2, alpha * (mtr @ w1), row[kw:]))
+            if config.renormalize:
                 top = np.abs(row).max()
                 if top > RENORM_THRESHOLD:
                     row /= top
                     rescales.append(top)
-                    period, since = since, 0
-        if config.renormalize:
-            tops = np.abs(block).max(axis=1)
-            over = tops > RENORM_THRESHOLD
-            j = over.argmax()
-            if over[j]:
-                block, w1s, w2s = block[: j + 1], w1s[: j + 1], w2s[: j + 1]
-                block[j] /= tops[j]
-                rescales.append(tops[j])
-                period, since = since - (steps - 1 - j), 0
+        w1s, w2s = block[:, :kw], block[:, kw:]
         weights.w1, weights.w2 = w1s[-1], w2s[-1]
-        c = np.empty((len(block), d))
-        for row, a, b in zip(c, w2s, w1s):
-            row[:] = np.convolve(a, b)[:d]
+        c = np.empty((steps, d))
+        for row, a, b in zip(c, w1s, w2s):
+            row[:] = _conv_collapse(a, b)
         return c, _design_margins(c, design), map(ConvWeights, w1s, w2s)
 
     return update

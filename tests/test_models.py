@@ -667,8 +667,8 @@ class TestScalarOracle:
         (0.7, 1000, 1), (1e30, 300, 75), (1e200, 200, 200)])
     def test_xhinge_rescaling_blocks(self, d, k, alpha, max_steps, rescales):
         """Extreme-hinge blocks that rescale: once, near step 840, at
-        alpha 0.7; every fourth step at 1e30; and at every step at 1e200,
-        where each row is tested as it is computed."""
+        alpha 0.7; every fourth step at 1e30; and at every step at
+        1e200."""
         whole = whole_dataset("cls", d)
         tr = sample_training_set(whole, 25, np.random.default_rng(d + k))
         cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
