@@ -16,7 +16,6 @@ from .dynamics import (
     asymptotic_error,
     asymptotic_error_estimate,
     asymptotic_error_for_trainset,
-    asymptotic_margin,
     asymptotic_weights,
     closed_form_weights,
 )
@@ -45,8 +44,6 @@ from .models import (
     classification_error,
     effective_weights,
     error_from_margins,
-    forward,
-    hinge_loss,
     init_weights,
     margins,
     scores,
@@ -54,9 +51,7 @@ from .models import (
 )
 from .shift import (
     TrainingAverage,
-    conv_score_via_matrix,
     shift_matrix,
-    signed_shift_matrix,
     training_average,
 )
 from .tasks import (

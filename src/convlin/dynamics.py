@@ -33,7 +33,7 @@ import numpy as np
 from . import models
 from .errors import NumericalError, StepOverflowError
 from .linalg import fix_top_pair_sign, thin_svd
-from .shift import TrainingAverage, signed_shift_matrix, training_average
+from .shift import TrainingAverage, training_average
 from .tasks import sample_training_set
 
 # Margins within 1e-12 of zero, relative to the weight scale, are
@@ -118,13 +118,6 @@ def asymptotic_weights(w1_0, mtr):
     Vm = dec.V[:, : dec.m]
     coef = Vm.T @ w1_0
     return AsymptoticWeights(w1=Vm @ coef, w2=dec.U[:, : dec.m] @ coef, m=dec.m)
-
-
-def asymptotic_margin(point, aw, k=None):
-    """Margin ``w1(inf) @ (y A_x).T @ w2(inf)`` of one labelled point."""
-    k = aw.w1.shape[0] if k is None else k
-    M = signed_shift_matrix(point, k)
-    return float(aw.w1 @ (M.T @ aw.w2))
 
 
 def _zero_tol(w1, w2, dataset):

@@ -247,11 +247,6 @@ def _conv_collapse(w1, w2):
     return np.convolve(w2, w1)[: w2.shape[0]]
 
 
-def forward(weights, x):
-    """Score a single dense input."""
-    return float(effective_weights(weights) @ np.asarray(x, dtype=float))
-
-
 def scores(weights, data):
     """Scores for a whole Dataset/TrainingSet (sparse path) or a dense
     (N, d) matrix."""
@@ -286,11 +281,6 @@ def error_from_margins(m, zero_tol=0.0):
 def classification_error(weights, dataset, zero_tol=0.0):
     """Mean error of a model over a dataset (ties count half)."""
     return error_from_margins(margins(weights, dataset), zero_tol)
-
-
-def hinge_loss(weights, tr):
-    """Mean hinge loss max(0, 1 - y f) over a training set."""
-    return float(np.mean(np.maximum(0.0, 1.0 - margins(weights, tr))))
 
 
 def init_weights(model, d, k, config, rng):

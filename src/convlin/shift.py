@@ -40,11 +40,6 @@ def shift_matrix(x, k):
     return A
 
 
-def signed_shift_matrix(point, k):
-    """``y * A_x`` for a labelled point."""
-    return float(point.y) * shift_matrix(point.x, k)
-
-
 @dataclass
 class TrainingAverage:
     """Mean of ``y * A_x`` over a training multiset, plus its size."""
@@ -89,30 +84,10 @@ def training_average(tr, k):
     return TrainingAverage(matrix=M, n_tr=n, task=tr.task)
 
 
-def conv_score_via_matrix(w1, w2, x):
-    """Reference conv score ``w1 @ A_x.T @ w2`` through the explicit matrix."""
-    A = shift_matrix(x, len(w1))
-    return float(np.asarray(w1) @ (A.T @ np.asarray(w2)))
-
-
-def signed_average_from_points(points, k):
-    """Training average built point by point (reference path for tests)."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("no points given")
-    acc = np.zeros_like(signed_shift_matrix(pts[0], k))
-    for p in pts:
-        acc += signed_shift_matrix(p, k)
-    return acc / len(pts)
-
-
 __all__ = [
     "DataPoint",
     "TrainingAverage",
     "shift_matrix",
-    "signed_shift_matrix",
     "training_average",
-    "conv_score_via_matrix",
-    "signed_average_from_points",
     "NONNEGATIVE_AVERAGE_TASKS",
 ]

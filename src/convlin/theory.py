@@ -9,7 +9,8 @@ module has closed forms and Monte-Carlo estimators for both pieces
 (the adjacent-pair failure also exactly, in integer arithmetic), the
 matching one-layer closed form, the sample-complexity consequences, and
 the evenly-spaced training construction for which the conv advantage
-provably vanishes.
+provably vanishes.  The adjacent-pair estimator draws its trials in
+blocks of fixed size, so its memory does not grow with trials or n.
 
 Positions are 1-based throughout this module.
 """
@@ -23,6 +24,10 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .linalg import is_primitive_bruteforce
 from .tasks import TrainingSet
+
+# Most positions, and most position marks, that one block of trials in
+# `estimate_prob_no_adjacent_pair` holds: 512 KB of int64 positions.
+DRAW_BLOCK_ELEMENTS = 1 << 16
 
 
 def has_adjacent_pair(positions, k, d):
@@ -42,18 +47,29 @@ def estimate_prob_no_adjacent_pair(d, k, n, trials, rng):
 
     Draws n positions uniformly with replacement per trial and reports
     the fraction of trials with no adjacent pair, plus the binomial
-    standard error.  Vectorized over trials; requires trials >= 100 for
-    a meaningful error bar.
+    standard error; requires trials >= 100 for a meaningful error bar.
+    Trials are drawn and marked in blocks of rows holding at most
+    `DRAW_BLOCK_ELEMENTS` positions or marks each, so memory does not
+    grow with trials or n.  Consecutive blocks of ``rng.integers``
+    continue one stream, so the result equals a single draw of all
+    (trials, n) positions bit for bit.
     """
     if trials < 100:
         raise ConfigError(f"need at least 100 trials, got {trials}")
     _check_dk(d, k)
-    hits = np.zeros((trials, d + 2), dtype=bool)
-    pos = rng.integers(1, d + 1, size=(trials, n))
-    hits[np.arange(trials)[:, None], pos] = True
+    _check_n(n)
+    rows = max(1, DRAW_BLOCK_ELEMENTS // max(n, d + 2))
+    hits = np.empty((min(rows, trials), d + 2), dtype=bool)
     lo = max(k, 2)
-    pair = hits[:, lo : d + 1] & hits[:, lo - 1 : d]
-    p = float(np.mean(~pair.any(axis=1)))
+    misses = 0
+    for start in range(0, trials, rows):
+        block = hits[: min(rows, trials - start)]
+        block[:] = False
+        pos = rng.integers(1, d + 1, size=(len(block), n))
+        block[np.arange(len(block))[:, None], pos] = True
+        pair = block[:, lo : d + 1] & block[:, lo - 1 : d]
+        misses += len(block) - int(np.count_nonzero(pair.any(axis=1)))
+    p = misses / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return p, se
 
@@ -86,8 +102,7 @@ def count_draws_without_adjacent_pair(d, k, n):
     """How many of the d**n sequences of n positions in {1..d} contain no
     adjacent pair in the sense of `has_adjacent_pair`.  Exact integer."""
     _check_dk(d, k)
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return sum(c * i ** n for i, c in enumerate(_no_adjacent_pair_coefficients(d, k)))
 
 
@@ -128,6 +143,7 @@ def estimate_prob_nonprimitive(d, k, n, trials, rng):
     if trials < 100:
         raise ConfigError(f"need at least 100 trials, got {trials}")
     _check_dk(d, k)
+    _check_n(n)
     misses = 0
     for _ in range(trials):
         pos = rng.integers(0, d, size=n)
@@ -149,6 +165,11 @@ def _check_dk(d, k):
         raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
 
 
+def _check_n(n):
+    if n < 0:
+        raise ConfigError(f"n must be >= 0, got {n}")
+
+
 def coverage_term_exact(d, k, n):
     """Half the average probability that a position is uncovered.
 
@@ -158,8 +179,7 @@ def coverage_term_exact(d, k, n):
     the exact coverage piece of the error bound.
     """
     _check_dk(d, k)
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    _check_n(n)
     l = np.arange(1, d + 1)
     edge = np.minimum(k, np.minimum(l, d - l + 1))
     base = np.clip((d - k - edge + 1) / d, 0.0, None)
@@ -174,8 +194,7 @@ def coverage_term_approx(d, k, n):
     probability exactly.
     """
     _check_dk(d, k)
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if d < 2 * k - 1:
         raise ConfigError(f"approximation needs d >= 2k - 1, got d={d}, k={k}")
     return 0.5 * ((d - 2 * k + 1) / d) ** n
@@ -190,8 +209,7 @@ def onelayer_error(d, n):
     """
     if d < 2:
         raise ConfigError(f"d must be at least 2, got {d}")
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return 0.5 * ((d - 1) / d) ** n
 
 

@@ -1,0 +1,52 @@
+"""Reference paths the tests check the package against.
+
+Each computes one quantity the slow, literal way: a dense forward pass,
+the hinge loss as a plain mean, the signed shift matrix of one point
+and the training average built from it point by point, and the conv
+score and asymptotic margin through the explicit matrix.  The package
+itself computes these through effective weights and sparse margins.
+"""
+
+import numpy as np
+
+from convlin.models import effective_weights, margins
+from convlin.shift import shift_matrix
+
+
+def forward(weights, x):
+    """Score a single dense input."""
+    return float(effective_weights(weights) @ np.asarray(x, dtype=float))
+
+
+def hinge_loss(weights, tr):
+    """Mean hinge loss max(0, 1 - y f) over a training set."""
+    return float(np.mean(np.maximum(0.0, 1.0 - margins(weights, tr))))
+
+
+def signed_shift_matrix(point, k):
+    """``y * A_x`` for a labelled point."""
+    return float(point.y) * shift_matrix(point.x, k)
+
+
+def conv_score_via_matrix(w1, w2, x):
+    """Conv score ``w1 @ A_x.T @ w2`` through the explicit matrix."""
+    A = shift_matrix(x, len(w1))
+    return float(np.asarray(w1) @ (A.T @ np.asarray(w2)))
+
+
+def signed_average_from_points(points, k):
+    """Training average built point by point."""
+    pts = list(points)
+    if not pts:
+        raise ValueError("no points given")
+    acc = np.zeros_like(signed_shift_matrix(pts[0], k))
+    for p in pts:
+        acc += signed_shift_matrix(p, k)
+    return acc / len(pts)
+
+
+def asymptotic_margin(point, aw, k=None):
+    """Margin ``w1(inf) @ (y A_x).T @ w2(inf)`` of one labelled point."""
+    k = aw.w1.shape[0] if k is None else k
+    M = signed_shift_matrix(point, k)
+    return float(aw.w1 @ (M.T @ aw.w2))

@@ -13,7 +13,6 @@ from convlin.dynamics import (
     asymptotic_error,
     asymptotic_error_estimate,
     asymptotic_error_for_trainset,
-    asymptotic_margin,
     asymptotic_weights,
     closed_form_weights,
 )
@@ -22,6 +21,7 @@ from convlin.models import ConvWeights, TrainConfig, train
 from convlin.shift import training_average
 from convlin.tasks import Dataset, TrainingSet, sample_training_set, whole_dataset
 from convlin.theory import sparse_training_set
+from oracles import asymptotic_margin
 
 
 def _unit(v):

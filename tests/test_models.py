@@ -28,8 +28,6 @@ from convlin.models import (
     continue_config,
     effective_weights,
     error_from_margins,
-    forward,
-    hinge_loss,
     init_weights,
     margins,
     scores,
@@ -38,6 +36,7 @@ from convlin.models import (
 )
 from convlin.shift import training_average
 from convlin.tasks import TrainingSet, sample_training_set, whole_dataset
+from oracles import forward, hinge_loss
 
 
 def single_point_set(task, d, pos, value, y):

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from convlin.errors import ShapeError
-from convlin.models import ConvWeights, forward
-from convlin.shift import (
-    TrainingAverage,
+from convlin.models import ConvWeights
+from convlin.shift import TrainingAverage, shift_matrix, training_average
+from convlin.tasks import DataPoint, TrainingSet, sample_training_set, whole_dataset
+from oracles import (
     conv_score_via_matrix,
-    shift_matrix,
+    forward,
     signed_average_from_points,
     signed_shift_matrix,
-    training_average,
 )
-from convlin.tasks import DataPoint, TrainingSet, sample_training_set, whole_dataset
 
 
 def e(l, d):

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from convlin.errors import ConfigError
-from convlin.shift import signed_shift_matrix
 from convlin.tasks import (
     TASKS,
     dump_csv,
@@ -13,6 +12,7 @@ from convlin.tasks import (
     separator_witness,
     whole_dataset,
 )
+from oracles import signed_shift_matrix
 
 ALL_TASK_DIMS = [("cls", 7), ("cls", 100), ("1stctrl", 4), ("1stctrl", 100),
                  ("3rdctrl", 5), ("3rdctrl", 30), ("parity", 5), ("parity", 100)]

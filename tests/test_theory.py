@@ -8,15 +8,18 @@ condition is hammered with random position sets.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from convlin import theory
 from convlin.errors import ConfigError, NumericalError
 from convlin.linalg import is_primitive_bruteforce
 from convlin.shift import training_average
 from convlin.tasks import whole_dataset
 from convlin.theory import (
+    DRAW_BLOCK_ELEMENTS,
     count_draws_without_adjacent_pair,
     coverage_term_approx,
     coverage_term_exact,
@@ -41,6 +44,18 @@ def gram_of_positions(pos_0b, d, k):
     return cols.T @ cols
 
 
+def oneshot_prob_no_adjacent_pair(d, k, n, trials, rng):
+    """Reference estimator: all (trials, n) positions in one draw, the
+    no-pair fraction as one mean."""
+    hits = np.zeros((trials, d + 2), dtype=bool)
+    pos = rng.integers(1, d + 1, size=(trials, n))
+    hits[np.arange(trials)[:, None], pos] = True
+    lo = max(k, 2)
+    pair = hits[:, lo : d + 1] & hits[:, lo - 1 : d]
+    p = float(np.mean(~pair.any(axis=1)))
+    return p, math.sqrt(p * (1.0 - p) / trials)
+
+
 class TestAdjacentPair:
     def test_examples(self):
         assert has_adjacent_pair({4, 5}, 3, 10)
@@ -51,7 +66,7 @@ class TestAdjacentPair:
         assert has_adjacent_pair([9, 2, 10], 3, 10)
 
     def test_estimator_replays_predicate(self):
-        """The vectorized estimate equals the fraction computed by
+        """The estimate equals the fraction computed by
         applying the predicate to the very same draws."""
         p, se = estimate_prob_no_adjacent_pair(
             50, 3, 8, 500, np.random.default_rng(32))
@@ -77,6 +92,58 @@ class TestAdjacentPair:
         with pytest.raises(ConfigError):
             estimate_prob_no_adjacent_pair(100, 5, 10, 99,
                                            np.random.default_rng(0))
+
+
+class TestBlockedEstimator:
+    """The block-wise estimator against the one-shot oracle, bit for
+    bit, on each side of a block boundary.  A block holds
+    max(1, DRAW_BLOCK_ELEMENTS // max(n, d + 2)) rows."""
+
+    @staticmethod
+    def assert_matches_oneshot(d, n, trials):
+        for seed in (60, 61):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = estimate_prob_no_adjacent_pair(d, 5, n, trials, rng)
+            assert got == oneshot_prob_no_adjacent_pair(d, 5, n, trials, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("d, n, trials, rows", [
+        (100, 10, 2000, 642),  # three full blocks and a short last one
+        (2100, 61, 100, 31),  # odd n, odd rows per block
+        (100, 10, 200, 642),  # fewer trials than one block holds
+        (100, 0, 200, 642),  # no positions at all
+        (100, DRAW_BLOCK_ELEMENTS + 1, 100, 1),  # n above the budget
+    ])
+    def test_matches_oneshot(self, d, n, trials, rows):
+        assert max(1, DRAW_BLOCK_ELEMENTS // max(n, d + 2)) == rows
+        self.assert_matches_oneshot(d, n, trials)
+
+    def test_one_row_blocks_match_oneshot(self, monkeypatch):
+        """One row per block where the estimate is far from 0 and 1."""
+        monkeypatch.setattr(theory, "DRAW_BLOCK_ELEMENTS", 64)
+        self.assert_matches_oneshot(100, 10, 300)
+
+    def test_memory_independent_of_trials_and_n(self):
+        """One draw of all 10^4 x 500 positions takes 40 MB; a block
+        holds at most 512 KB of them."""
+        rng = np.random.default_rng(63)
+        tracemalloc.start()
+        try:
+            estimate_prob_no_adjacent_pair(100, 5, 500, 10_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("estimate", [
+        estimate_prob_no_adjacent_pair, estimate_prob_nonprimitive,
+        decomposition_report])
+    def test_negative_n_refused_before_drawing(self, estimate):
+        rng = np.random.default_rng(64)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="n must be >= 0"):
+            estimate(100, 5, -1, 200, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestExactNoAdjacentPair:
