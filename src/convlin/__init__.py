@@ -50,7 +50,6 @@ from .models import (
     train,
 )
 from .shift import (
-    TrainingAverage,
     shift_matrix,
     training_average,
 )
@@ -58,7 +57,6 @@ from .tasks import (
     TASKS,
     DataPoint,
     Dataset,
-    TrainingSet,
     dump_csv,
     sample_training_set,
     separator_witness,

@@ -33,7 +33,7 @@ import numpy as np
 from . import models
 from .errors import NumericalError, StepOverflowError
 from .linalg import fix_top_pair_sign, thin_svd
-from .shift import TrainingAverage, training_average
+from .shift import training_average
 from .tasks import sample_training_set
 
 # Margins within 1e-12 of zero, relative to the weight scale, are
@@ -45,10 +45,6 @@ ZERO_MARGIN_FRAC = 1e-12
 _OVERFLOW_LIMIT = 1e290
 
 DEFAULT_DEGENERATE_DRAWS = 64
-
-
-def _matrix(mtr):
-    return mtr.matrix if isinstance(mtr, TrainingAverage) else np.asarray(mtr, float)
 
 
 @dataclass
@@ -63,7 +59,8 @@ class ClosedFormStep:
 
 
 def closed_form_weights(w1_0, w2_0, mtr, alpha, t):
-    """Evaluate the extreme-hinge iterate at step t in closed form.
+    """Evaluate the extreme-hinge iterate at step t in closed form, for
+    the d x k training average ``mtr``.
 
     Matches iterative training bit-for-bit up to roundoff for any t and
     any starting point.  Raises StepOverflowError (with the largest safe
@@ -71,10 +68,9 @@ def closed_form_weights(w1_0, w2_0, mtr, alpha, t):
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
-    M = _matrix(mtr)
     w1_0 = np.asarray(w1_0, float)
     w2_0 = np.asarray(w2_0, float)
-    dec = thin_svd(M)
+    dec = thin_svd(mtr)
     top = 1.0 + alpha * dec.sigma[0]
     if t * math.log(top) > math.log(_OVERFLOW_LIMIT):
         max_t = int(math.log(_OVERFLOW_LIMIT) / math.log(top))
@@ -108,12 +104,12 @@ class AsymptoticWeights:
 
 
 def asymptotic_weights(w1_0, mtr):
-    """Project an init onto the top singular space of the training average.
+    """Project an init onto the top singular space of the d x k training
+    average ``mtr``.
 
     Both output vectors have the same norm, ``|V_m.T w1_0|``.
     """
-    M = _matrix(mtr)
-    dec = thin_svd(M)
+    dec = thin_svd(mtr)
     w1_0 = np.asarray(w1_0, float)
     Vm = dec.V[:, : dec.m]
     coef = Vm.T @ w1_0
@@ -142,12 +138,12 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
     the sign-fixed top pair (the init drops out).  A degenerate top
     value falls back to a Monte-Carlo average over standard-normal
     draws of w1(0), which is why an rng is required in that case.
-    ``mtr`` is the training set's average when the caller has already
-    built it.  Returns ``(error, was_degenerate)``.
+    ``mtr`` is the training set's d x k average when the caller has
+    already built it.  Returns ``(error, was_degenerate)``.
     """
     if mtr is None:
         mtr = training_average(tr, k)
-    dec = thin_svd(mtr.matrix)
+    dec = thin_svd(mtr)
     if dec.m == 1:
         u, v = fix_top_pair_sign(dec).top_pair
         aw = AsymptoticWeights(w1=v, w2=u, m=1)
@@ -188,7 +184,7 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
         for attempt in range(100):
             tr = sample_training_set(whole, n, child)
             mtr = training_average(tr, k)
-            if np.any(mtr.matrix):
+            if np.any(mtr):
                 break
             resamples += 1
         else:

@@ -42,7 +42,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -160,6 +160,8 @@ class ExperimentSpec:
         bad = [m for m in self.models if m not in models.MODELS]
         if bad:
             raise ConfigError(f"unknown models {bad}; expected among {models.MODELS}")
+        if len(set(self.models)) < len(self.models):
+            raise ConfigError(f"--models names a model twice: {list(self.models)}")
         if self.out is not None:
             if os.path.isdir(self.out):
                 raise ConfigError(f"--out {self.out!r} is a directory")
@@ -219,22 +221,18 @@ def _trial_rng(spec, n, trial):
 
 
 def _dump(weights):
-    if isinstance(weights, models.LinearWeights):
-        return {"model": "1layer", "w": weights.w.tolist()}
-    if isinstance(weights, models.ConvWeights):
-        return {"model": "conv", "w1": weights.w1.tolist(), "w2": weights.w2.tolist()}
-    return {"model": "fc", "W1": weights.W1.tolist(), "w2": weights.w2.tolist()}
+    """A --dump-weights JSON entry: the model name, then each tensor in
+    field order."""
+    model = next(name for name, cls in models.WEIGHT_TYPES.items()
+                 if type(weights) is cls)
+    return {"model": model, **{f.name: getattr(weights, f.name).tolist()
+                               for f in fields(weights)}}
 
 
 def load_weights(entry):
     """Rebuild a weights object from a --dump-weights JSON entry."""
-    if entry["model"] == "1layer":
-        return models.LinearWeights(w=np.asarray(entry["w"]))
-    if entry["model"] == "conv":
-        return models.ConvWeights(w1=np.asarray(entry["w1"]),
-                                  w2=np.asarray(entry["w2"]))
-    return models.FCWeights(W1=np.asarray(entry["W1"]),
-                            w2=np.asarray(entry["w2"]))
+    cls = models.WEIGHT_TYPES[entry["model"]]
+    return cls(*(np.asarray(entry[f.name]) for f in fields(cls)))
 
 
 def _hinge_config(spec):
@@ -416,7 +414,7 @@ def run_prop1_check(spec):
     whole = whole_dataset("cls", spec.d)
     tr = theory.sparse_training_set(spec.d, spec.k, n)
     mtr = training_average(tr, spec.k)
-    gram = mtr.matrix.T @ mtr.matrix
+    gram = mtr.T @ mtr
     resid = float(np.max(np.abs(gram - np.eye(spec.k) / n)))
     hinge = _hinge_config(spec)
     conv_errs, onel_errs, extras = [], [], {}

@@ -79,7 +79,7 @@ sequential sum.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -91,7 +91,7 @@ MODELS = ("1layer", "conv", "fc")
 LOSSES = ("hinge", "xhinge")
 INIT_SCHEMES = ("gaussian", "uniform", "zero")
 
-DEFAULT_ALPHA = {"hinge": 0.1, "xhinge": 0.1}
+DEFAULT_ALPHA = 0.1
 DEFAULT_B = 0.1
 
 # Joint max-abs weight magnitude beyond which extreme-hinge training
@@ -101,43 +101,45 @@ DEFAULT_B = 0.1
 RENORM_THRESHOLD = 1e100
 
 
-@dataclass
-class LinearWeights:
-    w: np.ndarray
+class _Weights:
+    """A model's weights: one dataclass field per tensor, in layer order."""
 
     def copy(self):
-        return LinearWeights(self.w.copy())
+        return type(self)(*(getattr(self, f.name).copy() for f in fields(self)))
 
 
 @dataclass
-class ConvWeights:
+class LinearWeights(_Weights):
+    w: np.ndarray
+
+
+@dataclass
+class ConvWeights(_Weights):
     w1: np.ndarray
     w2: np.ndarray
 
-    def copy(self):
-        return ConvWeights(self.w1.copy(), self.w2.copy())
-
 
 @dataclass
-class FCWeights:
+class FCWeights(_Weights):
     W1: np.ndarray
     w2: np.ndarray
 
-    def copy(self):
-        return FCWeights(self.W1.copy(), self.w2.copy())
+
+# Model name -> weights type.
+WEIGHT_TYPES = {"1layer": LinearWeights, "conv": ConvWeights, "fc": FCWeights}
 
 
 @dataclass
 class TrainConfig:
     """Training hyperparameters.
 
-    ``alpha`` defaults per loss (see DEFAULT_ALPHA); ``init`` is an
-    initialization scheme name applied to every weight
-    tensor, or a tuple with one scheme per tensor in layer order
-    (first layer, then output).  None picks the per-loss default:
-    gaussian everywhere for hinge, (gaussian, zero) for xhinge.
-    ``stop_rule`` is "loss_zero" (hinge only: stop at exact 0.0 training
-    loss) or "fixed_steps"; ``renormalize`` applies to xhinge only.
+    ``alpha`` defaults to DEFAULT_ALPHA; ``init`` is an initialization
+    scheme name applied to every weight tensor, or a tuple with one
+    scheme per tensor in layer order (first layer, then output).  None
+    picks the per-loss default: gaussian everywhere for hinge,
+    (gaussian, zero) for xhinge.  ``stop_rule`` is "loss_zero" (hinge
+    only: stop at exact 0.0 training loss) or "fixed_steps".
+    Extreme-hinge runs always rescale past RENORM_THRESHOLD.
     """
 
     loss: str = "hinge"
@@ -145,14 +147,13 @@ class TrainConfig:
     max_steps: int = 100_000
     init: str | tuple | None = None
     b: float = DEFAULT_B
-    renormalize: bool | None = None
     stop_rule: str | None = None
 
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
         if self.alpha is None:
-            self.alpha = DEFAULT_ALPHA[self.loss]
+            self.alpha = DEFAULT_ALPHA
         if not math.isfinite(self.alpha) or self.alpha <= 0:
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if not math.isfinite(self.b) or self.b <= 0:
@@ -165,10 +166,6 @@ class TrainConfig:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
         if self.stop_rule == "loss_zero" and self.loss != "hinge":
             raise ConfigError("stop rule 'loss_zero' is only defined for hinge")
-        if self.renormalize is None:
-            self.renormalize = self.loss == "xhinge"
-        if self.renormalize and self.loss == "hinge":
-            raise ConfigError("renormalization applies to xhinge only")
         for scheme in self._schemes(2):
             if scheme not in INIT_SCHEMES:
                 raise ConfigError(
@@ -248,8 +245,7 @@ def _conv_collapse(w1, w2):
 
 
 def scores(weights, data):
-    """Scores for a whole Dataset/TrainingSet (sparse path) or a dense
-    (N, d) matrix."""
+    """Scores for a Dataset (sparse path) or a dense (N, d) matrix."""
     c = effective_weights(weights)
     # A sum of at most two finite terms that overflows keeps its sign,
     # so every error read from these scores is still right.
@@ -443,11 +439,11 @@ def _fc_hinge(weights, design, scale):
     return update
 
 
-def _conv_xhinge(weights, design, config, tr, rescales):
+def _conv_xhinge(weights, design, alpha, tr, rescales):
     """Also appends the common factor of each renormalization to
     ``rescales``."""
-    kw, d, alpha = weights.w1.shape[0], weights.w2.shape[0], config.alpha
-    mtr = training_average(tr, kw).matrix
+    kw, d = weights.w1.shape[0], weights.w2.shape[0]
+    mtr = training_average(tr, kw)
 
     def update(m, act, steps):
         # Row j of the block is [w1 | w2] after step j, written in place by
@@ -458,11 +454,10 @@ def _conv_xhinge(weights, design, config, tr, rescales):
         for row in block:
             w1, w2 = (np.add(w1, alpha * (mtr.T @ w2), row[:kw]),
                       np.add(w2, alpha * (mtr @ w1), row[kw:]))
-            if config.renormalize:
-                top = np.abs(row).max()
-                if top > RENORM_THRESHOLD:
-                    row /= top
-                    rescales.append(top)
+            top = np.abs(row).max()
+            if top > RENORM_THRESHOLD:
+                row /= top
+                rescales.append(top)
         w1s, w2s = block[:, :kw], block[:, kw:]
         weights.w1, weights.w2 = w1s[-1], w2s[-1]
         c = np.empty((steps, d))
@@ -498,7 +493,7 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     if config.loss == "hinge":
         update = _HINGE_UPDATES[model](weights, design, config.alpha / n)
     else:
-        update = _conv_xhinge(weights, design, config, tr, rescales)
+        update = _conv_xhinge(weights, design, config.alpha, tr, rescales)
     width = max(n, d, 0 if eval_design is None else eval_design[1].shape[1])
     max_rows = max(1, BLOCK_ELEMENTS // width)
     losses, terrs, eerrs = [], [], []
@@ -583,5 +578,4 @@ def xhinge_config(steps, alpha=None, b=DEFAULT_B, init=None):
 
 def continue_config(config, extra_steps):
     """Config for extending a finished run by a fixed number of steps."""
-    return replace(config, max_steps=extra_steps, stop_rule="fixed_steps",
-                   renormalize=config.renormalize)
+    return replace(config, max_steps=extra_steps, stop_rule="fixed_steps")

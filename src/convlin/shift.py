@@ -8,12 +8,9 @@ those over a training set yields the single matrix that drives all the
 linear training dynamics in `convlin.dynamics`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
-from .tasks import DataPoint
 
 # Tasks for which the training average is provably entrywise
 # nonnegative: labels there satisfy y * x = e_l >= 0 for every point.
@@ -40,31 +37,9 @@ def shift_matrix(x, k):
     return A
 
 
-@dataclass
-class TrainingAverage:
-    """Mean of ``y * A_x`` over a training multiset, plus its size."""
-
-    matrix: np.ndarray
-    n_tr: int
-    task: str
-
-    @property
-    def d(self):
-        return self.matrix.shape[0]
-
-    @property
-    def k(self):
-        return self.matrix.shape[1]
-
-    @property
-    def is_zero(self):
-        """True when every entry cancelled out (impossible on the
-        built-in tasks, where labels are deterministic per input)."""
-        return not np.any(self.matrix)
-
-
 def training_average(tr, k):
-    """Average the signed shift matrices of a training set.
+    """The d x k training average: the mean of ``y * A_x`` over a
+    training multiset.
 
     Because A_x is linear in x, the average equals the shift matrix of
     ``mean(y_i * x_i)``, which is how it is computed.  Raises on an
@@ -81,12 +56,10 @@ def training_average(tr, k):
     M = shift_matrix(mean_vec, k)
     if tr.task in NONNEGATIVE_AVERAGE_TASKS and np.any(M < 0):
         raise ValueError(f"negative training-average entry on task {tr.task}")
-    return TrainingAverage(matrix=M, n_tr=n, task=tr.task)
+    return M
 
 
 __all__ = [
-    "DataPoint",
-    "TrainingAverage",
     "shift_matrix",
     "training_average",
     "NONNEGATIVE_AVERAGE_TASKS",

@@ -10,9 +10,9 @@ entries, which makes exhaustive enumeration cheap:
                  b != a; label -1 iff a < b.
 * ``parity``   - d points e_l; label +1 iff l is odd (1-based).
 
-Positions are 1-based in all documentation and in ``s_tr``; the arrays
-inside datasets are 0-based.  All tasks are linearly separable and
-`separator_witness` returns an explicit separating weight vector.
+Positions are 1-based in all documentation; the arrays inside datasets
+are 0-based.  All tasks are linearly separable and `separator_witness`
+returns an explicit separating weight vector.
 """
 
 import csv
@@ -24,9 +24,6 @@ import numpy as np
 from .errors import ConfigError
 
 TASKS = ("cls", "1stctrl", "3rdctrl", "parity")
-
-# Tasks whose inputs have a single nonzero entry.
-SINGLE_NONZERO_TASKS = ("cls", "1stctrl", "parity")
 
 
 @dataclass
@@ -46,7 +43,8 @@ def _dense(positions, values, d):
 
 @dataclass
 class Dataset:
-    """Whole dataset of a task, stored sparsely.
+    """A task's whole dataset, or a training multiset drawn from it,
+    stored sparsely.
 
     ``positions``/``values`` are (N, m) arrays (m = 1 or 2 nonzeros per
     point, 0-based positions); ``y`` holds the labels.
@@ -73,24 +71,6 @@ class Dataset:
 
     def __iter__(self):
         return (self.point(i) for i in range(len(self)))
-
-
-@dataclass
-class TrainingSet(Dataset):
-    """Multiset of points drawn from a whole dataset.
-
-    ``indices`` are the row indices into the source dataset (with
-    repetition).  For single-nonzero tasks ``s_tr`` is the set of
-    1-based positions that occur in the sample; for ``3rdctrl`` it is
-    None.
-    """
-
-    indices: np.ndarray
-    s_tr: frozenset | None = None
-
-    @property
-    def n_tr(self):
-        return self.y.shape[0]
 
 
 def _check_task_d(task, d):
@@ -133,14 +113,8 @@ def sample_training_set(whole, n, rng):
     if n < 1:
         raise ConfigError(f"training set size must be >= 1, got {n}")
     idx = rng.integers(0, len(whole), size=n)
-    pos = whole.positions[idx]
-    val = whole.values[idx]
-    y = whole.y[idx]
-    s_tr = None
-    if whole.task in SINGLE_NONZERO_TASKS:
-        s_tr = frozenset(int(p) + 1 for p in pos[:, 0])
-    return TrainingSet(task=whole.task, d=whole.d, positions=pos, values=val,
-                       y=y, indices=idx, s_tr=s_tr)
+    return Dataset(task=whole.task, d=whole.d, positions=whole.positions[idx],
+                   values=whole.values[idx], y=whole.y[idx])
 
 
 def separator_witness(task, d):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .linalg import is_primitive_bruteforce
-from .tasks import TrainingSet
+from .tasks import Dataset
 
 # Most positions, and most position marks, that one block of trials in
 # `estimate_prob_no_adjacent_pair` holds: 512 KB of int64 positions.
@@ -256,14 +256,12 @@ def sparse_training_set(d, k, n):
             f"n={n} spaced points of width k={k} do not fit in d={d} "
             f"(need k + (n-1)*2k <= d)")
     pos_1b = k + 2 * k * np.arange(n)
-    return TrainingSet(
+    return Dataset(
         task="cls",
         d=d,
         positions=(pos_1b - 1)[:, None].astype(np.intp),
         values=np.ones((n, 1)),
         y=np.ones(n, dtype=np.int64),
-        indices=2 * (pos_1b - 1),
-        s_tr=frozenset(int(p) for p in pos_1b),
     )
 
 

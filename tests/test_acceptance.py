@@ -76,7 +76,7 @@ def test_criterion_01_closed_form_matches_iterative(acceptance_report):
         for _ in range(50):
             tr = sample_training_set(whole, n, rng)
             mtr = training_average(tr, k)
-            if not mtr.is_zero:
+            if np.any(mtr):
                 break
         w0 = ConvWeights(w1=rng.standard_normal(k), w2=rng.standard_normal(d))
         cfg = TrainConfig(loss="xhinge", alpha=0.05, max_steps=100)

@@ -19,7 +19,7 @@ from convlin.dynamics import (
 from convlin.errors import StepOverflowError
 from convlin.models import ConvWeights, TrainConfig, train
 from convlin.shift import training_average
-from convlin.tasks import Dataset, TrainingSet, sample_training_set, whole_dataset
+from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from convlin.theory import sparse_training_set
 from oracles import asymptotic_margin
 
@@ -36,9 +36,7 @@ def make_training_set(d, points):
     positions = np.array([[p - 1] for p, _, _ in points])
     values = np.array([[float(v)] for _, v, _ in points])
     y = np.array([lab for _, _, lab in points])
-    return TrainingSet(task="cls", d=d, positions=positions, values=values,
-                       y=y, indices=np.arange(len(points)),
-                       s_tr=frozenset(p for p, _, _ in points))
+    return Dataset(task="cls", d=d, positions=positions, values=values, y=y)
 
 
 @pytest.fixture(scope="module")

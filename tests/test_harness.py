@@ -133,6 +133,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             ExperimentSpec(experiment="gen-curve", xhinge_steps=0)
 
+    def test_repeated_model_rejected(self):
+        """Two runs of one model would share every row coordinate and one
+        --dump-weights key."""
+        for experiment in ("gen-curve", "parity-curve"):
+            for models in (("conv", "conv"), ("1layer", "conv", "1layer")):
+                with pytest.raises(ConfigError, match="twice"):
+                    ExperimentSpec(experiment=experiment, models=models)
+
 
 class TestSeeds:
     def test_frozen_values(self):
@@ -664,6 +672,18 @@ class TestMain:
         cfg.write_text("models = ,\n")
         assert cli.main(base + ["--config", str(cfg)]) == 1
         assert "names no model" in capsys.readouterr().err
+
+    def test_repeated_model_is_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        base = ["gen-curve", "--d", "20", "--k", "3", "--n", "10", "--trials",
+                "1", "--dump-weights", "--out", str(out)]
+        assert cli.main(base + ["--models", "conv,conv"]) == 1
+        assert "names a model twice" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("models = 1layer,fc,1layer\n")
+        assert cli.main(base + ["--config", str(cfg)]) == 1
+        assert "names a model twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_asym_vs_losses_beyond_k_64(self, capsys):
         code = cli.main(["asym-vs-losses", "--k", "70", "--n", "100",

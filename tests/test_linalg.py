@@ -121,7 +121,7 @@ class TestThinSVD:
     def test_zero_rows_of_m_give_exact_zero_rows_of_u(self):
         rng = np.random.default_rng(5)
         whole = whole_dataset("cls", 100)
-        cases = [training_average(sample_training_set(whole, 10, rng), 5).matrix
+        cases = [training_average(sample_training_set(whole, 10, rng), 5)
                  for _ in range(50)]
         cases += [rng.random((30, 4)) * (rng.random((30, 1)) < 0.3)
                   for _ in range(50)]
@@ -167,7 +167,7 @@ class TestThinSVD:
         for k in (5, 20):
             for n in (10, 100):
                 for _ in range(75):
-                    M = training_average(sample_training_set(whole, n, rng), k).matrix
+                    M = training_average(sample_training_set(whole, n, rng), k)
                     dec = thin_svd(M)
                     ref = np.linalg.svd(M, compute_uv=False)
                     assert np.abs(dec.sigma - ref).max() <= 1e-12 * ref[0]

@@ -35,18 +35,16 @@ from convlin.models import (
     xhinge_config,
 )
 from convlin.shift import training_average
-from convlin.tasks import TrainingSet, sample_training_set, whole_dataset
+from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from oracles import forward, hinge_loss
 
 
 def single_point_set(task, d, pos, value, y):
     """One-point training multiset at a 1-based position."""
-    return TrainingSet(task=task, d=d,
-                       positions=np.array([[pos - 1]]),
-                       values=np.array([[float(value)]]),
-                       y=np.array([y]),
-                       indices=np.array([0]),
-                       s_tr=frozenset({pos}))
+    return Dataset(task=task, d=d,
+                   positions=np.array([[pos - 1]]),
+                   values=np.array([[float(value)]]),
+                   y=np.array([y]))
 
 
 class TestForward:
@@ -138,12 +136,10 @@ class TestHingeLoss:
         assert hinge_loss(LinearWeights(np.zeros(4)), tr) == 1.0
 
     def test_half_fitted_pair(self):
-        tr = TrainingSet(task="cls", d=3,
-                         positions=np.array([[0], [1]]),
-                         values=np.ones((2, 1)),
-                         y=np.array([1, 1]),
-                         indices=np.array([0, 2]),
-                         s_tr=frozenset({1, 2}))
+        tr = Dataset(task="cls", d=3,
+                     positions=np.array([[0], [1]]),
+                     values=np.ones((2, 1)),
+                     y=np.array([1, 1]))
         assert hinge_loss(LinearWeights(np.array([1.0, 0, 0])), tr) == 0.5
 
 
@@ -190,9 +186,9 @@ class TestInit:
 
 class TestTrainConfig:
     def test_per_loss_default_alpha(self):
-        assert TrainConfig(loss="hinge").alpha == DEFAULT_ALPHA["hinge"]
-        assert TrainConfig(loss="xhinge", max_steps=5).alpha == \
-            DEFAULT_ALPHA["xhinge"]
+        assert DEFAULT_ALPHA == 0.1
+        assert TrainConfig(loss="hinge").alpha == DEFAULT_ALPHA
+        assert TrainConfig(loss="xhinge", max_steps=5).alpha == DEFAULT_ALPHA
 
     def test_stop_rules(self):
         assert TrainConfig(loss="hinge").stop_rule == "loss_zero"
@@ -202,10 +198,6 @@ class TestTrainConfig:
             TrainConfig(loss="xhinge", stop_rule="loss_zero")
         with pytest.raises(ConfigError):
             TrainConfig(loss="hinge", stop_rule="sometimes")
-
-    def test_renormalize_hinge_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(loss="hinge", renormalize=True)
 
     def test_bad_values(self):
         with pytest.raises(ConfigError):
@@ -429,12 +421,10 @@ class TestXhingeTraining:
         # 0.7 crosses the 1e100 threshold around step 840 while the
         # unrenormalized margins stay below the float64 ceiling.
         hot = TrainConfig(loss="xhinge", alpha=0.7, max_steps=1000)
-        plain = TrainConfig(loss="xhinge", alpha=0.7, max_steps=1000,
-                            renormalize=False)
         a = train("conv", tr, hot, np.random.default_rng(0), k=5, initial=w0,
                   eval_set=whole)
-        b = train("conv", tr, plain, np.random.default_rng(0), k=5,
-                  initial=w0, eval_set=whole)
+        b = scalar_train("conv", tr, hot, np.random.default_rng(0), k=5,
+                         initial=w0, eval_set=whole, renormalize=False)
         assert a.renormalizations >= 1
         assert b.renormalizations == 0
         assert np.all(np.isfinite(a.weights.w2))
@@ -493,15 +483,16 @@ def _scalar_hinge_step(model, weights, tr, alpha, m):
 
 
 def scalar_train(model, tr, config, rng, k=None, eval_set=None,
-                 initial=None, record_weights=False):
+                 initial=None, record_weights=False, renormalize=True):
     """The reference training loop: margins through `margins`, errors
     through `error_from_margins` and `classification_error`, and the
-    conv gradients one lag at a time."""
+    conv gradients one lag at a time.  ``renormalize=False`` turns off
+    the extreme-hinge rescale, which `train` always applies."""
     weights = initial.copy() if initial is not None else init_weights(
         model, tr.d, k, config, rng)
     mtr = None
     if config.loss == "xhinge":
-        mtr = training_average(tr, weights.w1.shape[0]).matrix
+        mtr = training_average(tr, weights.w1.shape[0])
     steps, losses, terrs, eerrs = [], [], [], []
     snaps = [] if record_weights else None
     renorms = 0
@@ -537,7 +528,7 @@ def scalar_train(model, tr, config, rng, k=None, eval_set=None,
                 w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
                 w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
                 weights.w1, weights.w2 = w1_new, w2_new
-                if config.renormalize:
+                if renormalize:
                     mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
                     if mx > RENORM_THRESHOLD:
                         weights.w1 /= mx
@@ -713,17 +704,11 @@ class TestScalarOracle:
         ("conv", TrainConfig(loss="hinge", alpha=1e3)),
         ("conv", TrainConfig(loss="hinge", alpha=1e308)),
         ("fc", TrainConfig(loss="hinge", alpha=1e308)),
-        ("conv", TrainConfig(loss="xhinge", alpha=1e3, max_steps=500,
-                             renormalize=False)),
-        ("conv", TrainConfig(loss="xhinge", alpha=1e300, max_steps=500,
-                             renormalize=False)),
         ("conv", TrainConfig(loss="xhinge", alpha=1e300, b=1e9)),
-        ("conv", TrainConfig(loss="xhinge", alpha=1e300, b=1e9,
-                             renormalize=False)),
     ])
     def test_divergence_matches(self, model, cfg):
         """A diverging run raises at the same step with the same message
-        (steps 59, 2 and 1 for these runs).  At alpha = 1e300 and b = 1e9
+        (steps 59 and 1 for these runs).  At alpha = 1e300 and b = 1e9
         the first step overflows, and a rescale by an infinite factor
         leaves NaN weights."""
         whole = whole_dataset("cls", 20)

@@ -5,8 +5,8 @@ import pytest
 
 from convlin.errors import ShapeError
 from convlin.models import ConvWeights
-from convlin.shift import TrainingAverage, shift_matrix, training_average
-from convlin.tasks import DataPoint, TrainingSet, sample_training_set, whole_dataset
+from convlin.shift import shift_matrix, training_average
+from convlin.tasks import DataPoint, Dataset, sample_training_set, whole_dataset
 from oracles import (
     conv_score_via_matrix,
     forward,
@@ -76,40 +76,34 @@ class TestSignedShiftMatrix:
 class TestTrainingAverage:
     def _pair_set(self):
         # Two cls points in d=4: (e_2, +1) and (-e_3, -1).
-        return TrainingSet(
+        return Dataset(
             task="cls", d=4,
             positions=np.array([[1], [2]]),
             values=np.array([[1.0], [-1.0]]),
-            y=np.array([1, -1]),
-            indices=np.array([2, 5]),
-            s_tr=frozenset({2, 3}))
+            y=np.array([1, -1]))
 
     def test_known_average(self):
         mtr = training_average(self._pair_set(), 2)
+        assert isinstance(mtr, np.ndarray) and mtr.shape == (4, 2)
         np.testing.assert_allclose(
-            mtr.matrix,
+            mtr,
             [[0.0, 0.5], [0.5, 0.5], [0.5, 0.0], [0.0, 0.0]])
-        assert mtr.n_tr == 2 and mtr.d == 4 and mtr.k == 2
-        assert not mtr.is_zero
 
     def test_single_sample(self):
-        tr = TrainingSet(task="cls", d=4, positions=np.array([[1]]),
-                         values=np.array([[1.0]]), y=np.array([1]),
-                         indices=np.array([2]), s_tr=frozenset({2}))
+        tr = Dataset(task="cls", d=4, positions=np.array([[1]]),
+                     values=np.array([[1.0]]), y=np.array([1]))
         mtr = training_average(tr, 3)
         p = DataPoint(x=e(2, 4), y=1)
-        np.testing.assert_array_equal(mtr.matrix, signed_shift_matrix(p, 3))
+        np.testing.assert_array_equal(mtr, signed_shift_matrix(p, 3))
 
     def test_duplication_invariant(self):
         tr = self._pair_set()
-        rep = TrainingSet(task="cls", d=4,
-                          positions=np.tile(tr.positions, (5, 1)),
-                          values=np.tile(tr.values, (5, 1)),
-                          y=np.tile(tr.y, 5),
-                          indices=np.tile(tr.indices, 5),
-                          s_tr=tr.s_tr)
-        np.testing.assert_allclose(training_average(rep, 2).matrix,
-                                   training_average(tr, 2).matrix)
+        rep = Dataset(task="cls", d=4,
+                      positions=np.tile(tr.positions, (5, 1)),
+                      values=np.tile(tr.values, (5, 1)),
+                      y=np.tile(tr.y, 5))
+        np.testing.assert_allclose(training_average(rep, 2),
+                                   training_average(tr, 2))
 
     def test_matches_pointwise_reference(self):
         whole = whole_dataset("3rdctrl", 12)
@@ -118,26 +112,24 @@ class TestTrainingAverage:
             tr = sample_training_set(whole, int(rng.integers(1, 30)), rng)
             pts = [tr.point(i) for i in range(len(tr))]
             np.testing.assert_allclose(
-                training_average(tr, 4).matrix,
+                training_average(tr, 4),
                 signed_average_from_points(pts, 4), atol=1e-15)
 
     def test_empty_rejected(self):
-        tr = TrainingSet(task="cls", d=4, positions=np.zeros((0, 1), int),
-                         values=np.zeros((0, 1)), y=np.zeros(0, int),
-                         indices=np.zeros(0, int), s_tr=frozenset())
+        tr = Dataset(task="cls", d=4, positions=np.zeros((0, 1), int),
+                     values=np.zeros((0, 1)), y=np.zeros(0, int))
         with pytest.raises(ValueError):
             training_average(tr, 2)
 
     def test_zero_flag(self):
-        assert TrainingAverage(np.zeros((3, 2)), 4, "cls").is_zero
         # A mislabelled duplicate pair cancels exactly; impossible for
         # the built-in tasks, where labels are functions of x.
-        tr = TrainingSet(task="cls", d=3,
-                         positions=np.array([[0], [0]]),
-                         values=np.array([[1.0], [1.0]]),
-                         y=np.array([1, -1]),
-                         indices=np.array([0, 1]), s_tr=frozenset({1}))
-        assert training_average(tr, 2).is_zero
+        tr = Dataset(task="cls", d=3,
+                     positions=np.array([[0], [0]]),
+                     values=np.array([[1.0], [1.0]]),
+                     y=np.array([1, -1]))
+        mtr = training_average(tr, 2)
+        assert mtr.shape == (3, 2) and not np.any(mtr)
 
 
 class TestNonnegativity:
@@ -146,29 +138,26 @@ class TestNonnegativity:
         rng = np.random.default_rng(5)
         for _ in range(50):
             tr = sample_training_set(whole, int(rng.integers(1, 80)), rng)
-            assert np.all(training_average(tr, 6).matrix >= 0.0)
+            assert np.all(training_average(tr, 6) >= 0.0)
 
     def test_firstctrl_genuinely_signed(self):
         """Left-half 1stctrl points have y = -1 with x = +e_l, so the
         average picks up negative entries; nonnegativity is a cls-only
         theorem and must not be enforced elsewhere."""
         whole = whole_dataset("1stctrl", 8)
-        tr = TrainingSet(task="1stctrl", d=8,
-                         positions=whole.positions[:1],
-                         values=whole.values[:1],
-                         y=whole.y[:1],
-                         indices=np.array([0]), s_tr=frozenset({1}))
-        mtr = training_average(tr, 3)
-        assert np.any(mtr.matrix < 0.0)
+        tr = Dataset(task="1stctrl", d=8,
+                     positions=whole.positions[:1],
+                     values=whole.values[:1],
+                     y=whole.y[:1])
+        assert np.any(training_average(tr, 3) < 0.0)
 
     def test_parity_genuinely_signed(self):
         whole = whole_dataset("parity", 6)
-        tr = TrainingSet(task="parity", d=6,
-                         positions=whole.positions[1:2],
-                         values=whole.values[1:2],
-                         y=whole.y[1:2],
-                         indices=np.array([1]), s_tr=frozenset({2}))
-        assert np.any(training_average(tr, 2).matrix < 0.0)
+        tr = Dataset(task="parity", d=6,
+                     positions=whole.positions[1:2],
+                     values=whole.values[1:2],
+                     y=whole.y[1:2])
+        assert np.any(training_average(tr, 2) < 0.0)
 
 
 class TestClsColumnSupport:
@@ -180,11 +169,12 @@ class TestClsColumnSupport:
         k = 4
         for _ in range(20):
             tr = sample_training_set(whole, 12, rng)
-            M = training_average(tr, k).matrix
+            M = training_average(tr, k)
+            s_tr = set(tr.positions[:, 0] + 1)
             for j in range(k):
                 for i in range(30):
                     pos = i + j + 1
-                    inside = pos <= 30 and pos in tr.s_tr
+                    inside = pos <= 30 and pos in s_tr
                     assert (M[i, j] > 0) == inside
 
 

@@ -7,6 +7,7 @@ from scipy import stats
 from convlin.errors import ConfigError
 from convlin.tasks import (
     TASKS,
+    Dataset,
     dump_csv,
     sample_training_set,
     separator_witness,
@@ -27,6 +28,15 @@ class FixedDraws:
     def integers(self, low, high, size):
         assert size == len(self.draws)
         return self.draws
+
+
+def assert_rows_of(tr, whole, idx):
+    """The training set holds rows ``idx`` of the whole dataset, in order."""
+    assert type(tr) is Dataset
+    assert (tr.task, tr.d, len(tr)) == (whole.task, whole.d, len(idx))
+    np.testing.assert_array_equal(tr.positions, whole.positions[idx])
+    np.testing.assert_array_equal(tr.values, whole.values[idx])
+    np.testing.assert_array_equal(tr.y, whole.y[idx])
 
 
 class TestEnumeration:
@@ -110,36 +120,46 @@ class TestWitness:
 class TestSampling:
     def test_points_come_from_whole(self):
         whole = whole_dataset("3rdctrl", 8)
+        idx = [0, 55, 55, 17, 3]
+        assert_rows_of(sample_training_set(whole, 5, FixedDraws(idx)), whole, idx)
+        # A seeded sample holds the rows its rng draws.
         tr = sample_training_set(whole, 25, np.random.default_rng(0))
-        assert len(tr) == 25 and tr.n_tr == 25
-        np.testing.assert_array_equal(tr.positions, whole.positions[tr.indices])
-        np.testing.assert_array_equal(tr.y, whole.y[tr.indices])
-        assert tr.s_tr is None
+        idx = np.random.default_rng(0).integers(0, len(whole), size=25)
+        assert_rows_of(tr, whole, idx)
 
     def test_deterministic_under_seed(self):
         whole = whole_dataset("cls", 50)
         a = sample_training_set(whole, 40, np.random.default_rng(7))
         b = sample_training_set(whole, 40, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.y, b.y)
 
     def test_str_from_known_draws(self):
         # cls rows alternate +e_l, -e_l, so indices 2, 3, 12 pick out
-        # e_2, -e_2, e_7.
+        # e_2, -e_2, e_7, whose positions make up S_tr = {2, 7}.
         whole = whole_dataset("cls", 100)
         tr = sample_training_set(whole, 3, FixedDraws([2, 3, 12]))
-        assert tr.s_tr == frozenset({2, 7})
+        assert_rows_of(tr, whole, [2, 3, 12])
+        np.testing.assert_array_equal(tr.positions[:, 0] + 1, [2, 2, 7])
+        np.testing.assert_array_equal(tr.values[:, 0], [1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(tr.y, [1, -1, 1])
 
     def test_str_parity(self):
         whole = whole_dataset("parity", 10)
         tr = sample_training_set(whole, 4, FixedDraws([0, 0, 9, 4]))
-        assert tr.s_tr == frozenset({1, 10, 5})
+        assert_rows_of(tr, whole, [0, 0, 9, 4])
+        np.testing.assert_array_equal(tr.positions[:, 0] + 1, [1, 1, 10, 5])
+        np.testing.assert_array_equal(tr.y, [1, 1, -1, 1])
 
     def test_uniformity_chi_square(self):
         """10^5 draws from the 200-point cls dataset pass a chi-square
         uniformity test at significance 1e-3."""
         whole = whole_dataset("cls", 100)
         tr = sample_training_set(whole, 100_000, np.random.default_rng(11))
-        counts = np.bincount(tr.indices, minlength=200)
+        # Row 2l of the cls dataset is +e_l and row 2l + 1 is -e_l.
+        idx = 2 * tr.positions[:, 0] + (tr.values[:, 0] < 0)
+        counts = np.bincount(idx, minlength=200)
         _, p = stats.chisquare(counts)
         assert p > 1e-3
 

@@ -17,7 +17,7 @@ from convlin import theory
 from convlin.errors import ConfigError, NumericalError
 from convlin.linalg import is_primitive_bruteforce
 from convlin.shift import training_average
-from convlin.tasks import whole_dataset
+from convlin.tasks import Dataset, whole_dataset
 from convlin.theory import (
     DRAW_BLOCK_ELEMENTS,
     count_draws_without_adjacent_pair,
@@ -305,7 +305,8 @@ class TestSampleComplexity:
 class TestSparseTrainingSet:
     def test_positions_and_labels(self):
         sp = sparse_training_set(100, 5, 3)
-        assert sp.s_tr == frozenset({5, 15, 25})
+        assert type(sp) is Dataset
+        assert (sp.task, sp.d, len(sp)) == ("cls", 100, 3)
         np.testing.assert_array_equal(sp.positions.ravel(), [4, 14, 24])
         np.testing.assert_array_equal(sp.values, np.ones((3, 1)))
         np.testing.assert_array_equal(sp.y, [1, 1, 1])
@@ -313,7 +314,8 @@ class TestSparseTrainingSet:
     def test_indices_point_into_whole_dataset(self):
         whole = whole_dataset("cls", 100)
         sp = sparse_training_set(100, 5, 3)
-        for i, idx in enumerate(sp.indices):
+        # Row 2l of the cls dataset is +e_l.
+        for i, idx in enumerate(2 * sp.positions[:, 0]):
             point = whole.point(int(idx))
             assert point.y == 1
             np.testing.assert_array_equal(point.x, sp.point(i).x)
@@ -321,7 +323,7 @@ class TestSparseTrainingSet:
     def test_gram_is_scaled_identity(self):
         for n in (1, 3, 10):
             sp = sparse_training_set(200, 5, n)
-            M = training_average(sp, 5).matrix
+            M = training_average(sp, 5)
             np.testing.assert_allclose(M.T @ M, np.eye(5) / n, atol=1e-12)
 
     def test_capacity_checked(self):
