@@ -46,7 +46,6 @@ from .models import (
     error_from_margins,
     init_weights,
     margins,
-    scores,
     train,
 )
 from .shift import (

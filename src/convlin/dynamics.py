@@ -119,14 +119,15 @@ def asymptotic_weights(w1_0, mtr):
 def _zero_tol(w1, w2, dataset):
     """Per-point tie tolerance, scaled by weight norms and input mass."""
     scale = ZERO_MARGIN_FRAC * np.linalg.norm(w1) * np.linalg.norm(w2)
-    return scale * np.abs(dataset.values).sum(axis=1)
+    return scale * np.abs(dataset.signed[1]).sum(axis=0)
 
 
 def asymptotic_error(aw, dataset):
     """Whole-dataset error of asymptotic weights, with margins within
     roundoff of zero scored as ties (half credit)."""
     m = models.margins(aw.as_conv(), dataset)
-    return models.error_from_margins(m, zero_tol=_zero_tol(aw.w1, aw.w2, dataset))
+    return float(models.error_from_margins(
+        m, zero_tol=_zero_tol(aw.w1, aw.w2, dataset)))
 
 
 def asymptotic_error_for_trainset(whole, tr, k, rng=None,

@@ -15,11 +15,15 @@ full-batch gradient is constant in the weights, so conv training reduces
 to two matrix products with the training average.  Layer updates are
 always simultaneous: both gradients are evaluated at the old weights.
 
+Every dataset is scored through its signed sparse design,
+`Dataset.signed`: the positions and the y * x values of each point's
+nonzeros, built once per dataset.  `margins` reads it, and one counter,
+`error_from_margins`, gives every error: those of the training loop, of
+`classification_error` and of the limiting classifier.
+
 One loop in `train` runs every model and loss, and each supplies only
-its update.  Once per call, `train` stores the training set, and the
-eval set if one is given, as a signed sparse design: the positions and
-the y * x values of each point's nonzeros.  The loop holds the current
-margins and stops at a zero hinge loss under the loss_zero rule, or at
+its update.  The loop holds the current margins of the training set's
+design and stops at a zero hinge loss under the loss_zero rule, or at
 the step budget.  Otherwise it calls the update with the active set,
 and the update advances the weights and returns the effective weight
 vectors c and the margins of the J >= 1 steps it took, as (J, d) and
@@ -134,10 +138,9 @@ class TrainConfig:
     """Training hyperparameters.
 
     ``alpha`` defaults to DEFAULT_ALPHA; ``init`` is an initialization
-    scheme name applied to every weight tensor, or a tuple with one
-    scheme per tensor in layer order (first layer, then output).  None
-    picks the per-loss default: gaussian everywhere for hinge,
-    (gaussian, zero) for xhinge.  ``stop_rule`` is "loss_zero" (hinge
+    scheme name applied to every weight tensor, or None for the per-loss
+    default: gaussian everywhere for hinge, a gaussian filter and a zero
+    output layer for xhinge.  ``stop_rule`` is "loss_zero" (hinge
     only: stop at exact 0.0 training loss) or "fixed_steps".
     Extreme-hinge runs always rescale past RENORM_THRESHOLD.
     """
@@ -145,7 +148,7 @@ class TrainConfig:
     loss: str = "hinge"
     alpha: float | None = None
     max_steps: int = 100_000
-    init: str | tuple | None = None
+    init: str | None = None
     b: float = DEFAULT_B
     stop_rule: str | None = None
 
@@ -166,24 +169,16 @@ class TrainConfig:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
         if self.stop_rule == "loss_zero" and self.loss != "hinge":
             raise ConfigError("stop rule 'loss_zero' is only defined for hinge")
-        for scheme in self._schemes(2):
-            if scheme not in INIT_SCHEMES:
-                raise ConfigError(
-                    f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}"
-                )
-
-    def _schemes(self, n_tensors):
-        """Resolved init scheme per weight tensor (first layer first)."""
-        init = self.init
-        if init is None:
-            init = ("gaussian", "zero") if self.loss == "xhinge" else "gaussian"
-        if isinstance(init, str):
-            return (init,) * n_tensors
-        if len(init) != n_tensors:
+        if self.init is not None and self.init not in INIT_SCHEMES:
             raise ConfigError(
-                f"init tuple has {len(init)} entries for {n_tensors} weight tensors"
+                f"unknown init scheme {self.init!r}; expected one of {INIT_SCHEMES}"
             )
-        return tuple(init)
+
+    def _schemes(self):
+        """The init schemes of the first layer and of the output layer."""
+        if self.init is not None:
+            return self.init, self.init
+        return "gaussian", "zero" if self.loss == "xhinge" else "gaussian"
 
 
 TRACE_COLUMNS = ("t", "train_loss", "train_err", "test_err")
@@ -210,10 +205,6 @@ class TrainTrace:
     @property
     def steps_run(self):
         return int(self.steps[-1])
-
-    @property
-    def budget_exhausted(self):
-        return self.stop_reason == "step-budget"
 
     def csv_rows(self):
         """One row per recorded step, under TRACE_COLUMNS; a NaN
@@ -244,39 +235,48 @@ def _conv_collapse(w1, w2):
     return np.convolve(w2, w1)[: w2.shape[0]]
 
 
-def scores(weights, data):
-    """Scores for a Dataset (sparse path) or a dense (N, d) matrix."""
+def margins(weights, data):
+    """The margins y * f(x) of a model on every point of a Dataset."""
     c = effective_weights(weights)
     # A sum of at most two finite terms that overflows keeps its sign,
-    # so every error read from these scores is still right.
+    # so every error read from these margins is still right.
     with np.errstate(over="ignore"):
-        if hasattr(data, "positions"):
-            return (data.values * c[data.positions]).sum(axis=1)
-        return np.asarray(data, dtype=float) @ c
+        return _design_margins(c, data.signed)
 
 
-def margins(weights, data):
-    y = data.y if hasattr(data, "y") else None
-    if y is None:
-        raise TypeError("data must carry labels")
-    return y * scores(weights, data)
+def _design_margins(c, design):
+    """Margins on a signed design of the weight vector c, or of each row
+    of a (rows, d) stack c: the sum over slots of yx * c[positions],
+    added slot by slot.  A stack gives a C-ordered (rows, N) array."""
+    positions, yx = design
+    prod = yx * c.take(positions, axis=-1)
+    m = prod[..., 0, :]
+    for j in range(1, yx.shape[0]):
+        m = m + prod[..., j, :]
+    return m
 
 
-def error_from_margins(m, zero_tol=0.0):
-    """Mean classification error with the half-credit zero rule.
+def error_from_margins(m, zero_tol=None):
+    """Classification error along the last axis of the margins m, with
+    the half-credit zero rule.
 
-    A margin below -zero_tol counts 1, within +-zero_tol counts 1/2,
-    above counts 0.  ``zero_tol`` may be a per-point array; the default
-    0.0 treats only exact float zeros as ties."""
+    A negative margin counts 1, a zero margin 1/2, and a positive or NaN
+    margin 0.  With ``zero_tol`` given, which may be a per-point array,
+    every margin within +-zero_tol counts 1/2.  The count is one exact
+    sum: with a tie's sign taken as 0 and a NaN sign as 1,
+    n - sum(sign m) is the integer 2 * wrong + tied."""
     m = np.asarray(m, dtype=float)
-    wrong = m < -zero_tol
-    tied = np.abs(m) <= zero_tol
-    return float(np.mean(wrong + 0.5 * tied))
+    sign = np.sign(m)
+    if zero_tol is not None:
+        sign[np.abs(m) <= zero_tol] = 0.0
+    np.fmin(sign, 1.0, out=sign)
+    n = m.shape[-1]
+    return (n - sign.sum(axis=-1)) / (2 * n)
 
 
-def classification_error(weights, dataset, zero_tol=0.0):
+def classification_error(weights, dataset):
     """Mean error of a model over a dataset (ties count half)."""
-    return error_from_margins(margins(weights, dataset), zero_tol)
+    return float(error_from_margins(margins(weights, dataset)))
 
 
 def init_weights(model, d, k, config, rng):
@@ -296,44 +296,14 @@ def init_weights(model, d, k, config, rng):
             return rng.uniform(-config.b, config.b, size=shape)
         return np.zeros(shape)
 
+    s1, s2 = config._schemes()
     if model == "1layer":
-        (s,) = config._schemes(1)
-        return LinearWeights(w=draw(s, (d,)))
+        return LinearWeights(w=draw(s1, (d,)))
     if model == "conv":
         if k is None or not 1 <= k <= d:
             raise ConfigError(f"conv model needs a filter width 1 <= k <= d, got {k}")
-        s1, s2 = config._schemes(2)
         return ConvWeights(w1=draw(s1, (k,)), w2=draw(s2, (d,)))
-    s1, s2 = config._schemes(2)
     return FCWeights(W1=draw(s1, (d, d)), w2=draw(s2, (d,)))
-
-
-def _signed_design(data):
-    """A sparse dataset as (m, N) arrays of positions and of y * x
-    values, one row per nonzero slot of a point (m = 1 or 2)."""
-    return data.positions.T.copy(), (data.y[:, None] * data.values).T.copy()
-
-
-def _design_margins(c, design):
-    """Margins on a signed design of the weight vector c, or of each row
-    of a (rows, d) stack c: the sum over slots of yx * c[positions],
-    added slot by slot.  A stack gives a C-ordered (rows, N) array."""
-    positions, yx = design
-    prod = yx * c.take(positions, axis=-1)
-    m = prod[..., 0, :]
-    for j in range(1, yx.shape[0]):
-        m = m + prod[..., j, :]
-    return m
-
-
-def _design_error(m):
-    """error_from_margins(m) along the last axis, from one exact sum:
-    with a NaN sign taken as 1 (a NaN margin is neither wrong nor tied),
-    n - sum(sign m) is the integer 2 * wrong + tied."""
-    n = m.shape[-1]
-    sign = np.sign(m)
-    np.fmin(sign, 1.0, out=sign)
-    return (n - sign.sum(axis=-1)) / (2 * n)
 
 
 def _active_sum(act, design, d):
@@ -486,8 +456,8 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
         raise ConfigError("extreme-hinge training is defined for the conv model")
     weights = initial.copy() if initial is not None else init_weights(
         model, tr.d, k, config, rng)
-    design = _signed_design(tr)
-    eval_design = None if eval_set is None else _signed_design(eval_set)
+    design = tr.signed
+    eval_design = None if eval_set is None else eval_set.signed
     n, d = len(tr), tr.d
     rescales = []
     if config.loss == "hinge":
@@ -516,9 +486,9 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
             step = sum(map(len, losses)) + int(finite.argmin())
             raise _diverged(model, config, f"the loss at step {step} is not finite")
         losses.append(loss)
-        terrs.append(_design_error(m))
+        terrs.append(error_from_margins(m))
         if eval_design is not None:
-            eerrs.append(_design_error(_design_margins(c, eval_design)))
+            eerrs.append(error_from_margins(_design_margins(c, eval_design)))
 
     # A step whose loss is not finite is found when the steps are scored,
     # in order, before any later stop takes effect; the steps past it only
@@ -569,11 +539,6 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
         renormalizations=len(rescales),
         weights_per_step=snaps,
     )
-
-
-def xhinge_config(steps, alpha=None, b=DEFAULT_B, init=None):
-    """Convenience TrainConfig for a fixed-step extreme-hinge run."""
-    return TrainConfig(loss="xhinge", alpha=alpha, max_steps=steps, b=b, init=init)
 
 
 def continue_config(config, extra_steps):

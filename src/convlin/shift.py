@@ -50,8 +50,8 @@ def training_average(tr, k):
     n = len(tr)
     if n == 0:
         raise ValueError("training set is empty")
-    weights = (tr.y[:, None] * tr.values).ravel()
-    mean_vec = np.bincount(tr.positions.ravel(), weights=weights, minlength=tr.d)
+    positions, yx = tr.signed
+    mean_vec = np.bincount(positions.ravel(), weights=yx.ravel(), minlength=tr.d)
     mean_vec /= n
     M = shift_matrix(mean_vec, k)
     if tr.task in NONNEGATIVE_AVERAGE_TASKS and np.any(M < 0):

@@ -47,7 +47,8 @@ class Dataset:
     stored sparsely.
 
     ``positions``/``values`` are (N, m) arrays (m = 1 or 2 nonzeros per
-    point, 0-based positions); ``y`` holds the labels.
+    point, 0-based positions); ``y`` holds the labels.  Every margin and
+    error is read from the cached signed design, `signed`.
     """
 
     task: str
@@ -63,6 +64,12 @@ class Dataset:
     def X(self):
         """Dense (N, d) input matrix."""
         return _dense(self.positions, self.values, self.d)
+
+    @cached_property
+    def signed(self):
+        """The signed sparse design: C-ordered (m, N) arrays of the
+        positions and of the y * x values, one row per nonzero slot."""
+        return self.positions.T.copy(), (self.y[:, None] * self.values).T.copy()
 
     def point(self, i):
         x = np.zeros(self.d)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .linalg import is_primitive_bruteforce
+from .shift import shift_matrix
 from .tasks import Dataset
 
 # Most positions, and most position marks, that one block of trials in
@@ -148,9 +149,7 @@ def estimate_prob_nonprimitive(d, k, n, trials, rng):
     for _ in range(trials):
         pos = rng.integers(0, d, size=n)
         hist = np.bincount(pos, minlength=d)
-        cols = np.zeros((d, k), dtype=np.int64)
-        for j in range(k):
-            cols[: d - j, j] = hist[j:]
+        cols = shift_matrix(hist, k)
         if not is_primitive_bruteforce(cols.T @ cols):
             misses += 1
     p = misses / trials

@@ -1,15 +1,16 @@
 """Reference paths the tests check the package against.
 
 Each computes one quantity the slow, literal way: a dense forward pass,
-the hinge loss as a plain mean, the signed shift matrix of one point
-and the training average built from it point by point, and the conv
-score and asymptotic margin through the explicit matrix.  The package
-itself computes these through effective weights and sparse margins.
+point-major margins and an error counted with masks, the hinge loss as
+a plain mean, the signed shift matrix of one point and the training
+average built from it point by point, and the conv score and asymptotic
+margin through the explicit matrix.  The package itself computes these
+through effective weights and each dataset's signed sparse design.
 """
 
 import numpy as np
 
-from convlin.models import effective_weights, margins
+from convlin.models import effective_weights
 from convlin.shift import shift_matrix
 
 
@@ -18,9 +19,26 @@ def forward(weights, x):
     return float(effective_weights(weights) @ np.asarray(x, dtype=float))
 
 
+def point_margins(weights, data):
+    """Margins point by point: each point's score, the sum of its
+    values times the gathered weights, times its label."""
+    c = effective_weights(weights)
+    with np.errstate(over="ignore"):
+        return (data.values * c[data.positions]).sum(axis=1) * data.y
+
+
+def error_rate(m, zero_tol=0.0):
+    """Mean error of the margins m: a margin below -zero_tol counts 1,
+    one within +-zero_tol counts 1/2, and any other margin 0."""
+    m = np.asarray(m, dtype=float)
+    wrong = m < -zero_tol
+    tied = np.abs(m) <= zero_tol
+    return float(np.mean(wrong + 0.5 * tied))
+
+
 def hinge_loss(weights, tr):
     """Mean hinge loss max(0, 1 - y f) over a training set."""
-    return float(np.mean(np.maximum(0.0, 1.0 - margins(weights, tr))))
+    return float(np.mean(np.maximum(0.0, 1.0 - point_margins(weights, tr))))
 
 
 def signed_shift_matrix(point, k):

@@ -35,7 +35,6 @@ from convlin.models import (
     classification_error,
     continue_config,
     train,
-    xhinge_config,
 )
 from convlin.shift import training_average
 from convlin.tasks import TASKS, sample_training_set, whole_dataset
@@ -139,7 +138,8 @@ def test_criterion_03_limit_matches_long_run(acceptance_report):
             tr = sample_training_set(whole, n, rng)
             err, _ = asymptotic_error_for_trainset(whole, tr, 5, rng=rng)
             asym.append(err)
-            xh = train("conv", tr, xhinge_config(steps=1000), rng, k=5)
+            xh = train("conv", tr, TrainConfig(loss="xhinge", max_steps=1000),
+                       rng, k=5)
             localized.append(classification_error(xh.weights, whole))
         gap = abs(float(np.mean(asym)) - float(np.mean(localized)))
         ok &= gap <= 0.02

@@ -23,20 +23,17 @@ from convlin.models import (
     LinearWeights,
     TrainConfig,
     TrainTrace,
-    _design_error,
     classification_error,
     continue_config,
     effective_weights,
     error_from_margins,
     init_weights,
     margins,
-    scores,
     train,
-    xhinge_config,
 )
 from convlin.shift import training_average
 from convlin.tasks import Dataset, sample_training_set, whole_dataset
-from oracles import forward, hinge_loss
+from oracles import error_rate, forward, hinge_loss, point_margins
 
 
 def single_point_set(task, d, pos, value, y):
@@ -83,8 +80,28 @@ class TestForward:
         whole = whole_dataset("3rdctrl", 10)
         rng = np.random.default_rng(1)
         w = ConvWeights(w1=rng.standard_normal(3), w2=rng.standard_normal(10))
-        np.testing.assert_allclose(scores(w, whole), scores(w, whole.X),
+        np.testing.assert_allclose(margins(w, whole),
+                                   whole.y * (whole.X @ effective_weights(w)),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("task", ("cls", "1stctrl", "parity", "3rdctrl"))
+    def test_margins_match_point_major_oracle(self, task):
+        """The signed design gives the point-major margins bit for bit,
+        also where a two-term sum near 1e308 overflows to +-inf."""
+        whole = whole_dataset(task, 12)
+        rng = np.random.default_rng(3)
+        cases = [LinearWeights(rng.standard_normal(12)),
+                 ConvWeights(w1=rng.standard_normal(3),
+                             w2=rng.standard_normal(12)),
+                 FCWeights(W1=rng.standard_normal((12, 12)),
+                           w2=rng.standard_normal(12)),
+                 LinearWeights(1.7e308 * rng.uniform(-1.0, 1.0, 12))]
+        for w in cases:
+            got, want = margins(w, whole), point_margins(w, whole)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        if task == "3rdctrl":
+            assert np.isinf(got).any()
 
 
 class TestErrorRule:
@@ -109,13 +126,19 @@ class TestErrorRule:
         assert classification_error(w, whole) == 3.0 / 8.0
 
     def test_design_error_matches(self):
-        """The training loop's sum of signs counts as error_from_margins
-        does: a NaN margin is neither wrong nor tied, -0.0 is a tie."""
+        """The sum of signs counts as the masks of the oracle do, on one
+        row or a (rows, n) stack, with or without a per-point tolerance:
+        a NaN margin is neither wrong nor tied, -0.0 is a tie."""
         rows = np.array([[-1.0, 0.0, np.nan, 2.0, -0.0, np.inf, -np.inf],
-                         [np.nan, np.nan, 1.0, 1.0, 1.0, -3.0, 5e-324]])
-        want = [error_from_margins(row) for row in rows]
-        assert _design_error(rows).tolist() == want
-        assert [_design_error(row) for row in rows] == want
+                         [np.nan, np.nan, 1.0, 1.0, 1.0, -3.0, 5e-324],
+                         [-5e-324, 1e-9, -1e-9, 2e-8, -2e-8, 0.0, 3.0]])
+        tols = (None, 0.0, 1e-8, np.array([0.0, 1e-8, 0.0, 1e-8, 1e-8, 0.0,
+                                           np.inf]))
+        for tol in tols:
+            want = [error_rate(row, 0.0 if tol is None else tol)
+                    for row in rows]
+            assert error_from_margins(rows, tol).tolist() == want
+            assert [error_from_margins(row, tol) for row in rows] == want
 
     def test_scale_invariance(self):
         whole = whole_dataset("parity", 9)
@@ -218,9 +241,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(loss="hinge", init="cauchy")
         with pytest.raises(ConfigError):
-            TrainConfig(loss="hinge", init=("gaussian",))
-        cfg = TrainConfig(loss="hinge", init=("zero", "uniform"))
-        assert cfg._schemes(2) == ("zero", "uniform")
+            TrainConfig(loss="hinge", init=("gaussian", "zero"))
 
 
 class TestHingeTraining:
@@ -302,7 +323,6 @@ class TestHingeTraining:
         cfg = TrainConfig(loss="hinge", max_steps=3)
         trace = train("1layer", tr, cfg, np.random.default_rng(6))
         assert trace.stop_reason == "step-budget"
-        assert trace.budget_exhausted
 
     def test_divergence_raises(self):
         """A step size that overflows the weights is a numerical failure,
@@ -379,8 +399,9 @@ class TestXhingeTraining:
         # alpha * M w1 = (0.5, 0).
         tr = single_point_set("cls", 2, 1, 1.0, 1)
         w0 = ConvWeights(w1=np.array([1.0, 0.0]), w2=np.zeros(2))
-        trace = train("conv", tr, xhinge_config(steps=1, alpha=0.5),
-                      np.random.default_rng(0), k=2, initial=w0)
+        cfg = TrainConfig(loss="xhinge", alpha=0.5, max_steps=1)
+        trace = train("conv", tr, cfg, np.random.default_rng(0), k=2,
+                      initial=w0)
         assert trace.stop_reason == "fixed-steps"
         np.testing.assert_allclose(trace.weights.w1, [1.0, 0.0])
         np.testing.assert_allclose(trace.weights.w2, [0.5, 0.0])
@@ -389,7 +410,7 @@ class TestXhingeTraining:
         tr = single_point_set("cls", 4, 1, 1.0, 1)
         for model in ("1layer", "fc"):
             with pytest.raises(ConfigError):
-                train(model, tr, xhinge_config(steps=1),
+                train(model, tr, TrainConfig(loss="xhinge", max_steps=1),
                       np.random.default_rng(0))
 
     def test_positive_homogeneity(self):
@@ -397,7 +418,7 @@ class TestXhingeTraining:
         leaves every recorded error untouched."""
         whole = whole_dataset("cls", 30)
         tr = sample_training_set(whole, 15, np.random.default_rng(12))
-        cfg = xhinge_config(steps=40)
+        cfg = TrainConfig(loss="xhinge", max_steps=40)
         w0 = ConvWeights(w1=np.random.default_rng(13).standard_normal(4),
                          w2=np.zeros(30))
         scaled = ConvWeights(w1=3.0 * w0.w1, w2=np.zeros(30))
@@ -484,10 +505,10 @@ def _scalar_hinge_step(model, weights, tr, alpha, m):
 
 def scalar_train(model, tr, config, rng, k=None, eval_set=None,
                  initial=None, record_weights=False, renormalize=True):
-    """The reference training loop: margins through `margins`, errors
-    through `error_from_margins` and `classification_error`, and the
-    conv gradients one lag at a time.  ``renormalize=False`` turns off
-    the extreme-hinge rescale, which `train` always applies."""
+    """The reference training loop: point-major margins and masked
+    error counts from the oracles, and the conv gradients one lag at a
+    time.  ``renormalize=False`` turns off the extreme-hinge rescale,
+    which `train` always applies."""
     weights = initial.copy() if initial is not None else init_weights(
         model, tr.d, k, config, rng)
     mtr = None
@@ -499,7 +520,7 @@ def scalar_train(model, tr, config, rng, k=None, eval_set=None,
     stop_reason = "fixed-steps"
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.max_steps + 1):
-            m = margins(weights, tr)
+            m = point_margins(weights, tr)
             if config.loss == "hinge":
                 loss = float(np.mean(np.maximum(0.0, 1.0 - m)))
             else:
@@ -510,8 +531,8 @@ def scalar_train(model, tr, config, rng, k=None, eval_set=None,
                     f"alpha={config.alpha}: the loss at step {t} is not finite")
             steps.append(t)
             losses.append(loss)
-            terrs.append(error_from_margins(m))
-            eerrs.append(classification_error(weights, eval_set)
+            terrs.append(error_rate(m))
+            eerrs.append(error_rate(point_margins(weights, eval_set))
                          if eval_set is not None else np.nan)
             if snaps is not None:
                 snaps.append(weights.copy())
@@ -590,7 +611,7 @@ class TestScalarOracle:
         else:
             # "zero" stands for xhinge's default: a zero output layer
             # under a gaussian filter (an all-zero run never moves).
-            init = ("gaussian", "zero") if init == "zero" else init
+            init = None if init == "zero" else init
             cfg = TrainConfig(loss="xhinge", init=init, max_steps=150)
         eval_set = whole if with_eval else None
         want = scalar_train(model, tr, cfg, np.random.default_rng(7), k=k,
@@ -753,7 +774,7 @@ class TestTraceSerialization:
                           weights=None, stop_reason="fixed-steps")
         whole = whole_dataset("cls", 30)
         tr = sample_training_set(whole, 15, np.random.default_rng(12))
-        runs = [train("conv", tr, xhinge_config(steps=60),
+        runs = [train("conv", tr, TrainConfig(loss="xhinge", max_steps=60),
                       np.random.default_rng(3), k=4, eval_set=eval_set)
                 for eval_set in (whole, None)]
         for trace in (made, *runs):
