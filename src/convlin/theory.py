@@ -10,7 +10,10 @@ module has closed forms and Monte-Carlo estimators for both pieces
 matching one-layer closed form, the sample-complexity consequences, and
 the evenly-spaced training construction for which the conv advantage
 provably vanishes.  The adjacent-pair estimator draws its trials in
-blocks of fixed size, so its memory does not grow with trials or n.
+blocks of fixed size, so its memory does not grow with trials or n.  It
+marks a row's positions past the first few only if those hold no pair,
+so it costs about as much as its draws.  Its result and generator state
+equal those of one draw of every position, marked in full.
 
 Positions are 1-based throughout this module.
 """
@@ -29,6 +32,8 @@ from .tasks import Dataset
 # Most positions, and most position marks, that one block of trials in
 # `estimate_prob_no_adjacent_pair` holds: 512 KB of int64 positions.
 DRAW_BLOCK_ELEMENTS = 1 << 16
+# Positions per row that the estimator marks before testing for a pair.
+_HEAD = 32
 
 
 def has_adjacent_pair(positions, k, d):
@@ -54,6 +59,14 @@ def estimate_prob_no_adjacent_pair(d, k, n, trials, rng):
     grow with trials or n.  Consecutive blocks of ``rng.integers``
     continue one stream, so the result equals a single draw of all
     (trials, n) positions bit for bit.
+
+    A block's marks are one flat scatter: row r's positions are shifted
+    by r * (d + 2) in place.  A block marks the first `_HEAD` positions of
+    each row and tests for a pair; only the rows with none get their
+    other positions marked and tested again.  This is exact: a pair
+    among some of a row's positions is a pair among all of them.  Every
+    position is still drawn, so the estimate and the generator state
+    are those of marking everything.
     """
     if trials < 100:
         raise ConfigError(f"need at least 100 trials, got {trials}")
@@ -61,15 +74,25 @@ def estimate_prob_no_adjacent_pair(d, k, n, trials, rng):
     _check_n(n)
     rows = max(1, DRAW_BLOCK_ELEMENTS // max(n, d + 2))
     hits = np.empty((min(rows, trials), d + 2), dtype=bool)
-    lo = max(k, 2)
+    marks = hits.reshape(-1)
+    row_start = np.arange(0, hits.size, d + 2)[:, None]
+    lo, head = max(k, 2), min(n, _HEAD)
+
+    def no_pair(marked):
+        return ~(marked[:, lo : d + 1] & marked[:, lo - 1 : d]).any(axis=1)
+
     misses = 0
     for start in range(0, trials, rows):
         block = hits[: min(rows, trials - start)]
         block[:] = False
         pos = rng.integers(1, d + 1, size=(len(block), n))
-        block[np.arange(len(block))[:, None], pos] = True
-        pair = block[:, lo : d + 1] & block[:, lo - 1 : d]
-        misses += len(block) - int(np.count_nonzero(pair.any(axis=1)))
+        pos += row_start[: len(block)]
+        marks[pos[:, :head]] = True
+        open_rows = no_pair(block)
+        if head < n:
+            marks[pos[open_rows, head:]] = True
+            open_rows = no_pair(block[open_rows])
+        misses += int(np.count_nonzero(open_rows))
     p = misses / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return p, se

@@ -96,15 +96,16 @@ class TestAdjacentPair:
 
 class TestBlockedEstimator:
     """The block-wise estimator against the one-shot oracle, bit for
-    bit, on each side of a block boundary.  A block holds
+    bit, on each side of a block boundary and of the head of positions
+    marked first.  A block holds
     max(1, DRAW_BLOCK_ELEMENTS // max(n, d + 2)) rows."""
 
     @staticmethod
-    def assert_matches_oneshot(d, n, trials):
+    def assert_matches_oneshot(d, n, trials, k=5):
         for seed in (60, 61):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = estimate_prob_no_adjacent_pair(d, 5, n, trials, rng)
-            assert got == oneshot_prob_no_adjacent_pair(d, 5, n, trials, ref)
+            got = estimate_prob_no_adjacent_pair(d, k, n, trials, rng)
+            assert got == oneshot_prob_no_adjacent_pair(d, k, n, trials, ref)
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("d, n, trials, rows", [
@@ -117,6 +118,25 @@ class TestBlockedEstimator:
     def test_matches_oneshot(self, d, n, trials, rows):
         assert max(1, DRAW_BLOCK_ELEMENTS // max(n, d + 2)) == rows
         self.assert_matches_oneshot(d, n, trials)
+
+    @pytest.mark.parametrize("d, k, n, trials", [
+        (1000, 1, 40, 300),  # every neighbour pair counts; 65-row blocks
+        (1000, 2, 40, 300),
+        (30, 30, 40, 4000),  # k = d: only the last pair counts
+        (1000, 5, theory._HEAD - 1, 300),  # n around the marked head
+        (1000, 5, theory._HEAD, 300),
+        (1000, 5, theory._HEAD + 1, 300),
+        (2100, 5, 61, 100),  # pairs rare among the head
+    ])
+    def test_rows_decided_past_head_match_oneshot(self, d, k, n, trials):
+        """Rows with no pair among their first `_HEAD` positions are
+        marked in full; where n exceeds the head, some row of the draw
+        has its only pairs past it."""
+        if n > theory._HEAD:
+            pos = np.random.default_rng(60).integers(1, d + 1, size=(trials, n))
+            assert any(not has_adjacent_pair(row[: theory._HEAD], k, d)
+                       and has_adjacent_pair(row, k, d) for row in pos)
+        self.assert_matches_oneshot(d, n, trials, k)
 
     def test_one_row_blocks_match_oneshot(self, monkeypatch):
         """One row per block where the estimate is far from 0 and 1."""
