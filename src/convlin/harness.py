@@ -36,6 +36,7 @@ Experiments:
                         sign pattern of the learned filter.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -495,7 +496,12 @@ def write_result(result, path=None):
 
     Sidecar files: ``<out>.traces.csv`` for per-step traces when the
     experiment recorded any, ``<out>.weights.json`` under
-    --dump-weights.
+    --dump-weights; a sidecar this run does not write is removed, so
+    none is left from an earlier run.  The traces file is written in one
+    pass per trace, one f-string per row ending in "\\r\\n", streamed so
+    that no trace is held as one string.  Its fields are ints, loss
+    names, float reprs and "", none of which csv.writer would quote, so
+    the bytes are those of csv.writer's default dialect.
     """
     spec = result.spec
     text = rows_to_csv(result.rows) if spec.format == "csv" else rows_to_json(result)
@@ -503,16 +509,27 @@ def write_result(result, path=None):
         return text
     with open(path, "w") as fh:
         fh.write(text)
+    traces, weights = f"{path}.traces.csv", f"{path}.weights.json"
     if result.traces:
-        with open(f"{path}.traces.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "loss", *models.TRACE_COLUMNS])
+        with open(traces, "w", newline="") as fh:
+            fh.write(",".join(("trial", "loss", *models.TRACE_COLUMNS)) + "\r\n")
             for trial, loss, trace in result.traces:
-                writer.writerows([trial, loss, *row] for row in trace.csv_rows())
+                fh.writelines(f"{trial},{loss},{t},{a},{b},{c}\r\n"
+                              for t, a, b, c in trace.csv_rows())
+    else:
+        _remove_stale(traces)
     if result.weights_dump:
-        with open(f"{path}.weights.json", "w") as fh:
+        with open(weights, "w") as fh:
             json.dump(result.weights_dump, fh)
+    else:
+        _remove_stale(weights)
     return text
+
+
+def _remove_stale(path):
+    """Remove a sidecar left by an earlier run to the same output path."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
 
 
 def _mean_se(values):

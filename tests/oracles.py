@@ -6,11 +6,14 @@ a plain mean, the signed shift matrix of one point and the training
 average built from it point by point, and the conv score and asymptotic
 margin through the explicit matrix.  The package itself computes these
 through effective weights and each dataset's signed sparse design.
+The traces sidecar is written here row by row through csv.writer.
 """
+
+import csv
 
 import numpy as np
 
-from convlin.models import effective_weights
+from convlin.models import TRACE_COLUMNS, effective_weights
 from convlin.shift import shift_matrix
 
 
@@ -68,3 +71,14 @@ def asymptotic_margin(point, aw, k=None):
     k = aw.w1.shape[0] if k is None else k
     M = signed_shift_matrix(point, k)
     return float(aw.w1 @ (M.T @ aw.w2))
+
+
+def write_traces_csv(traces, path):
+    """The traces sidecar of (trial, loss, trace) triples, through
+    csv.writer's default dialect: a header, then one row per recorded
+    step."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "loss", *TRACE_COLUMNS])
+        for trial, loss, trace in traces:
+            writer.writerows([trial, loss, *row] for row in trace.csv_rows())

@@ -25,6 +25,7 @@ from convlin.harness import (
     DEFAULT_N_GRID,
     ExperimentSpec,
     ResultRow,
+    RunResult,
     derive_seed,
     load_weights,
     rows_to_csv,
@@ -33,8 +34,9 @@ from convlin.harness import (
     summarize,
     write_result,
 )
-from convlin.models import TrainConfig, classification_error, train
+from convlin.models import TrainConfig, TrainTrace, classification_error, train
 from convlin.tasks import sample_training_set, whole_dataset
+from oracles import write_traces_csv
 
 
 def tiny_gen_spec(**overrides):
@@ -449,6 +451,46 @@ class TestSerialization:
         # Two fixed-step runs contribute 21 rows each, the hinge runs
         # at least one row.
         assert len(lines) >= 1 + 2 * 21 + 2
+
+    @staticmethod
+    def _made_trace():
+        """A trace holding -0.0, +-inf, 1e-300, 0.1 + 0.2 and NaN test
+        errors, which are written as ""."""
+        values = np.array([0.1 + 0.2, -0.0, np.inf, -np.inf, 1e-300, 0.5])
+        return TrainTrace(steps=np.arange(6), train_loss=values,
+                          train_error=values[::-1].copy(),
+                          test_error=np.array([np.nan, -0.0, 1e-300, np.inf,
+                                               np.nan, 0.1 + 0.2]),
+                          weights=None, stop_reason="fixed-steps")
+
+    @pytest.mark.parametrize("source", ["made", "init-study"])
+    def test_traces_sidecar_matches_csv_writer(self, source, tmp_path):
+        """The sidecar is byte for byte what csv.writer writes."""
+        if source == "made":
+            result = RunResult(spec=tiny_spec("init-study"), rows=[],
+                               traces=[(0, "xhinge", self._made_trace()),
+                                       (1, "hinge", self._made_trace())])
+        else:
+            result = run(tiny_spec("init-study"))
+            assert len({trial for trial, _, _ in result.traces}) == 3
+        write_result(result, str(tmp_path / "out.csv"))
+        write_traces_csv(result.traces, tmp_path / "oracle.csv")
+        got = (tmp_path / "out.csv.traces.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        if source == "made":
+            assert got.splitlines()[1] == b"0,xhinge,0,0.30000000000000004,0.5,"
+
+    @pytest.mark.parametrize("sidecar", ["traces.csv", "weights.json"])
+    def test_stale_sidecar_removed(self, sidecar, tmp_path):
+        """A run that writes no sidecar removes the one an earlier run
+        wrote beside the same output path."""
+        out = str(tmp_path / "o.csv")
+        earlier = (tiny_spec("init-study", dump_weights=False)
+                   if sidecar == "traces.csv" else tiny_gen_spec(dump_weights=True))
+        write_result(run(earlier), out)
+        assert os.path.exists(f"{out}.{sidecar}")
+        write_result(run(tiny_gen_spec()), out)
+        assert os.listdir(tmp_path) == ["o.csv"]
 
 
 class TestSummarize:

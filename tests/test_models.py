@@ -9,6 +9,7 @@ import csv
 import io
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -566,6 +567,11 @@ def scalar_train(model, tr, config, rng, k=None, eval_set=None,
         weights_per_step=snaps)
 
 
+def _max_abs(weights):
+    """The joint max-abs of a conv model's two layers."""
+    return max(np.abs(weights.w1).max(), np.abs(weights.w2).max())
+
+
 def assert_same_weights(a, b):
     assert type(a) is type(b)
     for name, tensor in vars(a).items():
@@ -705,6 +711,85 @@ class TestScalarOracle:
                     eval_set=whole, record_weights=True)
         assert got.steps_run == max_steps
         assert_same_trace(got, want)
+
+    # Growth windows: a row past RENORM_THRESHOLD is scanned only if it lies
+    # past the window of the last scanned row (see _conv_xhinge).
+
+    @pytest.mark.parametrize("alpha,start,max_steps", [
+        # Rounding makes each step grow by a little more than g = 1 + alpha.
+        pytest.param(2.0**-50, RENORM_THRESHOLD / (1 + 2.0**-50) ** 100, 300,
+                     id="tiny-alpha"),
+        # The window's log quotient comes out at exactly 2 rows.
+        pytest.param(2.0**100, np.nextafter(RENORM_THRESHOLD * 2.0**-300, np.inf),
+                     12, id="huge-alpha"),
+    ])
+    def test_xhinge_growth_at_the_bound(self, alpha, start, max_steps):
+        """k = 1 and one training point, with w1 equal to the w2 entry it
+        meets: the max-abs grows by exactly g = 1 + alpha per step in exact
+        arithmetic, the fastest that the window allows."""
+        tr = single_point_set("cls", 4, 1, 1.0, 1)
+        w0 = ConvWeights(w1=np.array([start]), w2=np.array([start, 0.0, 0.0, 0.0]))
+        cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
+        want = scalar_train("conv", tr, cfg, None, initial=w0, record_weights=True)
+        got = train("conv", tr, cfg, None, initial=w0, record_weights=True)
+        assert want.renormalizations >= 1
+        assert_same_trace(got, want)
+
+    @staticmethod
+    def _d100_sets():
+        """d = 100 and n = 30 with the whole set as eval set: each block
+        holds 40 rows, steps 1-40, 41-80 and so on."""
+        whole = whole_dataset("cls", 100)
+        return whole, sample_training_set(whole, 30, np.random.default_rng(11))
+
+    def _assert_matches_at_d100(self, w0, alpha, max_steps, first_rescale=None):
+        """Train from ``w0`` on the d = 100 sets, which first passes
+        RENORM_THRESHOLD at step ``first_rescale`` if one is given."""
+        whole, tr = self._d100_sets()
+        cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
+        if first_rescale is not None:
+            free = scalar_train("conv", tr, replace(cfg, max_steps=first_rescale),
+                                None, initial=w0, record_weights=True,
+                                renormalize=False)
+            tops = list(map(_max_abs, free.weights_per_step))
+            assert max(tops[:-1]) <= RENORM_THRESHOLD < tops[-1]
+        want = scalar_train("conv", tr, cfg, None, initial=w0, eval_set=whole,
+                            record_weights=True)
+        got = train("conv", tr, cfg, None, initial=w0, eval_set=whole,
+                    record_weights=True)
+        assert_same_trace(got, want)
+        return got
+
+    def test_xhinge_rescale_in_first_rows(self):
+        """A start at max-abs 1e99 rescales within the first block's first
+        rows."""
+        rng = np.random.default_rng(5)
+        w0 = ConvWeights(w1=rng.standard_normal(5), w2=rng.standard_normal(100))
+        scale = 1e99 / _max_abs(w0)
+        w0 = ConvWeights(w1=w0.w1 * scale, w2=w0.w2 * scale)
+        self._assert_matches_at_d100(w0, 5.0, 100, first_rescale=5)
+
+    @pytest.mark.parametrize("last_row", (40, 80))
+    def test_xhinge_rescale_on_last_row(self, last_row):
+        """The init is scaled so that the first rescale falls on the last
+        row of the first or the second block."""
+        _, tr = self._d100_sets()
+        rng = np.random.default_rng(6)
+        w0 = ConvWeights(w1=rng.standard_normal(5), w2=rng.standard_normal(100))
+        free = scalar_train("conv", tr, TrainConfig(loss="xhinge", alpha=0.5,
+                                                    max_steps=last_row),
+                            None, initial=w0, record_weights=True)
+        before, at = map(_max_abs, free.weights_per_step[-2:])
+        scale = RENORM_THRESHOLD / np.sqrt(before * at)
+        scaled = ConvWeights(w1=w0.w1 * scale, w2=w0.w2 * scale)
+        self._assert_matches_at_d100(scaled, 0.5, 150, first_rescale=last_row)
+
+    def test_xhinge_zero_start(self):
+        """All-zero weights never move; a zero max-abs gives no window."""
+        w0 = ConvWeights(w1=np.zeros(5), w2=np.zeros(100))
+        got = self._assert_matches_at_d100(w0, 0.1, 90)
+        assert got.renormalizations == 0
+        assert not np.any(got.weights.w2)
 
     def test_linear_divergence_matches(self):
         """No one-layer run from the default init scale diverged, even at
