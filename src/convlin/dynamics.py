@@ -23,6 +23,17 @@ where m is the multiplicity of the top singular value.  When m == 1 the
 limiting error does not depend on w1(0) at all (up to a null set), so it
 can be read off the top singular pair; the degenerate m > 1 case is
 averaged over random draws of w1(0) instead.
+
+The draws of a degenerate set are one (draws, k) block from the
+generator, which gives the values and leaves the generator state that
+as many draws of size k would.  Their limits are scored as one block:
+one (draws, d) array of effective weights, one margins gather, one tie
+tolerance per (draw, point) and one error count, with each row scored
+exactly as it would be alone.  A single limit is the one-row case of
+the same scorer.  Each draw still decomposes the training average
+again in `asymptotic_weights`: the benchmark counts one `thin_svd` per
+draw, and passing one decomposition down waits for that count to
+change.
 """
 
 import math
@@ -99,9 +110,6 @@ class AsymptoticWeights:
     w2: np.ndarray
     m: int
 
-    def as_conv(self):
-        return models.ConvWeights(w1=self.w1, w2=self.w2)
-
 
 def asymptotic_weights(w1_0, mtr):
     """Project an init onto the top singular space of the d x k training
@@ -116,18 +124,30 @@ def asymptotic_weights(w1_0, mtr):
     return AsymptoticWeights(w1=Vm @ coef, w2=dec.U[:, : dec.m] @ coef, m=dec.m)
 
 
-def _zero_tol(w1, w2, dataset):
-    """Per-point tie tolerance, scaled by weight norms and input mass."""
-    scale = ZERO_MARGIN_FRAC * np.linalg.norm(w1) * np.linalg.norm(w2)
-    return scale * np.abs(dataset.signed[1]).sum(axis=0)
+def _tie_scale(aw):
+    """The tie tolerance of asymptotic weights per unit of input mass,
+    ``ZERO_MARGIN_FRAC * |w1| * |w2|``.  Each norm is np.linalg.norm's
+    bit for bit, without its wrapper: the root of the dot product of a
+    contiguous copy (a strided dot adds in another order)."""
+    w1, w2 = aw.w1.ravel(order="K"), aw.w2.ravel(order="K")
+    return ZERO_MARGIN_FRAC * math.sqrt(w1.dot(w1)) * math.sqrt(w2.dot(w2))
+
+
+def _limit_errors(c, scale, dataset):
+    """Whole-dataset error of the effective weights c, one (d,) row or a
+    (rows, d) block, with every margin of size at most ``scale`` times
+    the point's input mass scored as a tie (half credit).  ``scale`` is
+    a number for one row and a (rows, 1) column for a block, and every
+    row of a block is scored exactly as it would be alone."""
+    return models.error_from_margins(models.weight_margins(c, dataset),
+                                     zero_tol=scale * dataset.mass)
 
 
 def asymptotic_error(aw, dataset):
     """Whole-dataset error of asymptotic weights, with margins within
     roundoff of zero scored as ties (half credit)."""
-    m = models.margins(aw.as_conv(), dataset)
-    return float(models.error_from_margins(
-        m, zero_tol=_zero_tol(aw.w1, aw.w2, dataset)))
+    c = models.conv_collapse(aw.w1, aw.w2)
+    return float(_limit_errors(c, _tie_scale(aw), dataset))
 
 
 def asymptotic_error_for_trainset(whole, tr, k, rng=None,
@@ -137,11 +157,16 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
 
     With a simple top singular value the error is evaluated directly on
     the sign-fixed top pair (the init drops out).  A degenerate top
-    value falls back to a Monte-Carlo average over standard-normal
-    draws of w1(0), which is why an rng is required in that case.
-    ``mtr`` is the training set's d x k average when the caller has
-    already built it.  Returns ``(error, was_degenerate)``.
+    value falls back to the mean error over ``degenerate_draws``
+    standard-normal draws of w1(0), which is why an rng is required in
+    that case.  The draws are one (draws, k) block, which advances the
+    rng exactly as that many draws of size k would, and their limits
+    are scored as one block.  ``mtr`` is the training set's d x k
+    average when the caller has already built it.  Returns
+    ``(error, was_degenerate)``.
     """
+    if degenerate_draws < 1:
+        raise ValueError(f"degenerate_draws must be >= 1, got {degenerate_draws}")
     if mtr is None:
         mtr = training_average(tr, k)
     dec = thin_svd(mtr)
@@ -151,11 +176,16 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
         return asymptotic_error(aw, whole), False
     if rng is None:
         raise ValueError("degenerate top pair needs an rng for the fallback")
-    total = 0.0
-    for _ in range(degenerate_draws):
-        aw = asymptotic_weights(rng.standard_normal(k), mtr)
-        total += asymptotic_error(aw, whole)
-    return total / degenerate_draws, True
+    c = np.empty((degenerate_draws, whole.d))
+    scale = np.empty((degenerate_draws, 1))
+    for i, w1_0 in enumerate(rng.standard_normal((degenerate_draws, k))):
+        # Each draw still decomposes mtr again.
+        aw = asymptotic_weights(w1_0, mtr)
+        c[i] = models.conv_collapse(aw.w1, aw.w2)
+        scale[i] = _tie_scale(aw)
+    errors = _limit_errors(c, scale, whole)
+    # Added in draw order; np.sum would add pairwise and round apart.
+    return float(np.cumsum(errors)[-1]) / degenerate_draws, True
 
 
 @dataclass
@@ -178,6 +208,8 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if degenerate_draws < 1:
+        raise ValueError(f"degenerate_draws must be >= 1, got {degenerate_draws}")
     errors = np.empty(trials)
     degenerate = 0
     resamples = 0

@@ -533,8 +533,10 @@ def _remove_stale(path):
 
 
 def _mean_se(values):
+    """Mean and standard error; one value has no spread to measure, so
+    its standard error is nan."""
     arr = np.asarray(values, dtype=float)
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
     return float(arr.mean()), se
 
 

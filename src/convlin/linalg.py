@@ -97,8 +97,10 @@ def fix_top_pair_sign(dec):
     Both columns are flipped together so that ``sum(v1) >= 0``; an exact
     zero sum falls back to making the first nonzero entry of v1
     positive.  Only valid when the top singular value is simple
-    (``dec.m == 1``); otherwise MultiplicityError is raised.  Returns a
-    new decomposition, leaving the input untouched.
+    (``dec.m == 1``); otherwise MultiplicityError is raised.  Returns
+    the input itself when no flip is needed, and otherwise a new
+    decomposition with flipped copies of U and V, sharing sigma; the
+    input is never modified.
     """
     if dec.m != 1:
         raise MultiplicityError(
@@ -107,18 +109,17 @@ def fix_top_pair_sign(dec):
         )
     v = dec.V[:, 0]
     total = float(v.sum())
-    flip = False
-    if total < 0.0:
-        flip = True
-    elif total == 0.0:
+    if total == 0.0:
         nz = v[v != 0.0]
-        if nz.size and nz[0] < 0.0:
-            flip = True
+        flip = bool(nz.size) and nz[0] < 0.0
+    else:
+        flip = total < 0.0
+    if not flip:
+        return dec
     U, V = dec.U.copy(), dec.V.copy()
-    if flip:
-        U[:, 0] = -U[:, 0]
-        V[:, 0] = -V[:, 0]
-    return SpectralDecomposition(U=U, sigma=dec.sigma.copy(), V=V, m=dec.m)
+    U[:, 0] = -U[:, 0]
+    V[:, 0] = -V[:, 0]
+    return SpectralDecomposition(U=U, sigma=dec.sigma, V=V, m=dec.m)
 
 
 def _check_square_nonneg(A):

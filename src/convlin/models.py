@@ -232,13 +232,13 @@ def effective_weights(weights):
     if isinstance(weights, LinearWeights):
         return weights.w
     if isinstance(weights, ConvWeights):
-        return _conv_collapse(weights.w1, weights.w2)
+        return conv_collapse(weights.w1, weights.w2)
     if isinstance(weights, FCWeights):
         return weights.W1.T @ weights.w2
     raise TypeError(f"unsupported weights type {type(weights).__name__}")
 
 
-def _conv_collapse(w1, w2):
+def conv_collapse(w1, w2):
     """The effective weights of a conv model: w2 convolved with w1,
     truncated to the input length."""
     return np.convolve(w2, w1)[: w2.shape[0]]
@@ -246,7 +246,13 @@ def _conv_collapse(w1, w2):
 
 def margins(weights, data):
     """The margins y * f(x) of a model on every point of a Dataset."""
-    c = effective_weights(weights)
+    return weight_margins(effective_weights(weights), data)
+
+
+def weight_margins(c, data):
+    """The margins y * c @ x on every point of a Dataset of the effective
+    weights c, a (d,) row, or of each row of a (rows, d) block c, which
+    gives a C-ordered (rows, N) array."""
     # A sum of at most two finite terms that overflows keeps its sign,
     # so every error read from these margins is still right.
     with np.errstate(over="ignore"):
@@ -468,7 +474,7 @@ def _conv_xhinge(weights, design, alpha, tr, rescales):
         weights.w1, weights.w2 = w1s[-1], w2s[-1]
         c = np.empty((steps, d))
         for row, a, b in zip(c, w1s, w2s):
-            row[:] = _conv_collapse(a, b)
+            row[:] = conv_collapse(a, b)
         return c, _design_margins(c, design), map(ConvWeights, w1s, w2s)
 
     return update

@@ -54,7 +54,8 @@ def training_average(tr, k):
     mean_vec = np.bincount(positions.ravel(), weights=yx.ravel(), minlength=tr.d)
     mean_vec /= n
     M = shift_matrix(mean_vec, k)
-    if tr.task in NONNEGATIVE_AVERAGE_TASKS and np.any(M < 0):
+    # Every entry of M is an entry of mean_vec or a zero pad.
+    if tr.task in NONNEGATIVE_AVERAGE_TASKS and np.any(mean_vec < 0):
         raise ValueError(f"negative training-average entry on task {tr.task}")
     return M
 

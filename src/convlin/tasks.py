@@ -48,7 +48,8 @@ class Dataset:
 
     ``positions``/``values`` are (N, m) arrays (m = 1 or 2 nonzeros per
     point, 0-based positions); ``y`` holds the labels.  Every margin and
-    error is read from the cached signed design, `signed`.
+    error is read from the cached signed design, `signed`, and every
+    tie tolerance from the cached per-point `mass`.
     """
 
     task: str
@@ -70,6 +71,11 @@ class Dataset:
         """The signed sparse design: C-ordered (m, N) arrays of the
         positions and of the y * x values, one row per nonzero slot."""
         return self.positions.T.copy(), (self.y[:, None] * self.values).T.copy()
+
+    @cached_property
+    def mass(self):
+        """Each point's input mass, the sum of its |x| entries."""
+        return np.abs(self.signed[1]).sum(axis=0)
 
     def point(self, i):
         x = np.zeros(self.d)

@@ -3,9 +3,11 @@
 Each computes one quantity the slow, literal way: a dense forward pass,
 point-major margins and an error counted with masks, the hinge loss as
 a plain mean, the signed shift matrix of one point and the training
-average built from it point by point, and the conv score and asymptotic
-margin through the explicit matrix.  The package itself computes these
-through effective weights and each dataset's signed sparse design.
+average built from it point by point, the conv score and asymptotic
+margin through the explicit matrix, and the limiting error of a
+degenerate training set one draw at a time.  The package itself
+computes these through effective weights and each dataset's signed
+sparse design, and scores a degenerate set's draws as one block.
 The traces sidecar is written here row by row through csv.writer.
 """
 
@@ -13,7 +15,14 @@ import csv
 
 import numpy as np
 
-from convlin.models import TRACE_COLUMNS, effective_weights
+from convlin.dynamics import ZERO_MARGIN_FRAC, asymptotic_weights
+from convlin.models import (
+    TRACE_COLUMNS,
+    ConvWeights,
+    effective_weights,
+    error_from_margins,
+    margins,
+)
 from convlin.shift import shift_matrix
 
 
@@ -71,6 +80,28 @@ def asymptotic_margin(point, aw, k=None):
     k = aw.w1.shape[0] if k is None else k
     M = signed_shift_matrix(point, k)
     return float(aw.w1 @ (M.T @ aw.w2))
+
+
+def asymptotic_error_alone(aw, dataset):
+    """Whole-dataset error of one set of asymptotic weights, scored on
+    its own: its margins, a tie tolerance from ``np.linalg.norm`` of
+    each weight vector times each point's input mass recomputed from
+    the design, and one error count."""
+    tol = (ZERO_MARGIN_FRAC * np.linalg.norm(aw.w1) * np.linalg.norm(aw.w2)
+           * np.abs(dataset.signed[1]).sum(axis=0))
+    return float(error_from_margins(margins(ConvWeights(aw.w1, aw.w2), dataset),
+                                    zero_tol=tol))
+
+
+def degenerate_error_per_draw(whole, mtr, k, rng, draws):
+    """Mean limiting error over ``draws`` standard-normal inits w1(0),
+    one draw of size k, one limit and one whole-dataset score at a
+    time, added in draw order."""
+    total = 0.0
+    for _ in range(draws):
+        aw = asymptotic_weights(rng.standard_normal(k), mtr)
+        total += asymptotic_error_alone(aw, whole)
+    return total / draws
 
 
 def write_traces_csv(traces, path):

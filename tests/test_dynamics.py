@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from convlin.dynamics import (
+    ZERO_MARGIN_FRAC,
+    AsymptoticWeights,
+    _tie_scale,
     asymptotic_error,
     asymptotic_error_estimate,
     asymptotic_error_for_trainset,
@@ -17,11 +20,16 @@ from convlin.dynamics import (
     closed_form_weights,
 )
 from convlin.errors import StepOverflowError
+from convlin.linalg import fix_top_pair_sign, thin_svd
 from convlin.models import ConvWeights, TrainConfig, train
 from convlin.shift import training_average
 from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from convlin.theory import sparse_training_set
-from oracles import asymptotic_margin
+from oracles import (
+    asymptotic_error_alone,
+    asymptotic_margin,
+    degenerate_error_per_draw,
+)
 
 
 def _unit(v):
@@ -230,6 +238,83 @@ class TestTrainsetError:
         with pytest.raises(ValueError):
             asymptotic_error_for_trainset(cls100, tr, 5)
 
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_draw_count_validated(self, cls100, draws):
+        """Rejected on a simple top pair too, not only once a degenerate
+        set turns up."""
+        for tr in (make_training_set(100, [(50, 1.0, 1)]),
+                   sample_training_set(cls100, 40, np.random.default_rng(11))):
+            with pytest.raises(ValueError, match="degenerate_draws"):
+                asymptotic_error_for_trainset(
+                    cls100, tr, 5, rng=np.random.default_rng(0),
+                    degenerate_draws=draws)
+
+
+def _degenerate_sets():
+    """(training set, multiplicity) at k = 5 for the block-scoring cases:
+    cls sets whose top singular value is tied 2 to 5 times, and the
+    evenly spaced set, whose structural zeros exercise the tie
+    tolerance."""
+    cls100 = whole_dataset("cls", 100)
+    cases = [pytest.param(sample_training_set(cls100, n, np.random.default_rng(seed)),
+                          m, id=f"cls-n{n}-seed{seed}")
+             for n, seed, m in ((10, 4, 2), (5, 2, 2), (5, 5, 3), (5, 23, 4),
+                                (5, 4, 5), (10, 7, 5))]
+    cases.append(pytest.param(sparse_training_set(100, 5, 3), 5,
+                              id="sparse-d100-k5-n3"))
+    return cases
+
+
+class TestBlockScoring:
+    """The block of draws against the per-draw loop it replaced."""
+
+    @pytest.mark.parametrize("draws", [64, 1, 7])
+    @pytest.mark.parametrize("tr,m", _degenerate_sets())
+    def test_equals_per_draw_loop(self, cls100, tr, m, draws):
+        mtr = training_average(tr, 5)
+        rng, oracle_rng = np.random.default_rng(31), np.random.default_rng(31)
+        err, degenerate = asymptotic_error_for_trainset(
+            cls100, tr, 5, rng=rng, degenerate_draws=draws)
+        assert degenerate
+        assert asymptotic_weights(np.ones(5), mtr).m == m
+        assert err == degenerate_error_per_draw(cls100, mtr, 5, oracle_rng,
+                                                draws)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_tie_scale_equals_numpy_norms(self):
+        """The tie scale of strided columns, like those of a sign-fixed
+        top pair, is the one np.linalg.norm gives, bit for bit."""
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            V, U = rng.standard_normal((5, 5)), rng.standard_normal((100, 5))
+            aw = AsymptoticWeights(w1=V[:, 0], w2=U[:, 0], m=1)
+            assert _tie_scale(aw) == (ZERO_MARGIN_FRAC * np.linalg.norm(V[:, 0])
+                                      * np.linalg.norm(U[:, 0]))
+
+    @pytest.mark.parametrize("task,d,k,n", [("cls", 100, 5, 40),
+                                            ("3rdctrl", 20, 3, 30),
+                                            ("1stctrl", 30, 4, 10)])
+    def test_one_row_equals_scoring_alone(self, task, d, k, n):
+        """asymptotic_error is the block's one-row case; it scores the
+        sign-fixed top pair, whose columns are strided views, and fresh
+        limits alike."""
+        whole = whole_dataset(task, d)
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            tr = sample_training_set(whole, n, rng)
+            mtr = training_average(tr, k)
+            dec = fix_top_pair_sign(thin_svd(mtr))
+            if dec.m == 1:
+                u, v = dec.top_pair
+                aw = AsymptoticWeights(w1=v, w2=u, m=1)
+                assert asymptotic_error(aw, whole) == \
+                    asymptotic_error_alone(aw, whole)
+                assert asymptotic_error_for_trainset(whole, tr, k) == \
+                    (asymptotic_error_alone(aw, whole), False)
+            aw = asymptotic_weights(rng.standard_normal(k), mtr)
+            assert asymptotic_error(aw, whole) == \
+                asymptotic_error_alone(aw, whole)
+
 
 class TestEstimate:
     def test_deterministic_given_seed(self, cls100):
@@ -270,3 +355,14 @@ class TestEstimate:
         with pytest.raises(ValueError):
             asymptotic_error_estimate(cls100, 30, 5, 0,
                                       np.random.default_rng(17))
+
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_draw_count_validated(self, cls100, draws):
+        """A draw count below one is rejected before any set is drawn,
+        even when no degenerate set would turn up."""
+        rng = np.random.default_rng(19)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="degenerate_draws"):
+            asymptotic_error_estimate(cls100, 40, 5, 2, rng,
+                                      degenerate_draws=draws)
+        assert rng.bit_generator.state == state

@@ -5,6 +5,7 @@ file stays inside a couple of minutes; statistical checks at the sizes
 used in practice live in test_acceptance.py.
 """
 
+import ast
 import csv
 import hashlib
 import io
@@ -517,9 +518,11 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(self._rows(), loss="asym")
 
-    def test_single_row_zero_se(self):
+    def test_single_row_nan_se(self):
+        """One row has no spread, so its standard error is undefined."""
         mean, se = summarize(self._rows(), model="1layer")
-        assert (mean, se) == (0.9, 0.0)
+        assert mean == 0.9
+        assert math.isnan(se)
 
 
 class TestParseN:
@@ -585,6 +588,33 @@ class TestDependencies:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_runs_without_scipy_or_bench(self):
+        """The package imports with scipy unimportable, and no module in
+        src/ imports the benchmark, by package or by module name."""
+        pkg = os.path.dirname(os.path.abspath(cli.__file__))
+        src = os.path.dirname(pkg)
+        bench = os.path.join(os.path.dirname(src), "bench")
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "import convlin, convlin.harness, convlin.cli")
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True)
+        names = os.listdir(bench) if os.path.isdir(bench) else []
+        banned = {"bench"} | {n[:-3] for n in names if n.endswith(".py")}
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots = [a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                assert not banned & set(roots), f"{name} imports {roots}"
+
 
 class TestMain:
     def test_success_writes_file(self, tmp_path, capsys):
@@ -594,6 +624,18 @@ class TestMain:
         assert code == 0
         assert f"wrote 4 rows to {out}" in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_one_trial_writes_nan_se(self, tmp_path):
+        """prop1-check with one trial writes an undefined standard error
+        as nan, not as 0.0."""
+        out = tmp_path / "rows.csv"
+        assert cli.main(["prop1-check", "--d", "30", "--k", "3", "--n", "4",
+                         "--trials", "1", "--seed", "1", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            extras = {r["aux_key"]: r["aux_value"] for r in csv.DictReader(fh)
+                      if r["model"] == "summary"}
+        assert extras["conv_se"] == extras["onelayer_se"] == "nan"
+        assert math.isfinite(float(extras["conv_mean"]))
 
     def test_stdout_when_no_out(self, capsys):
         code = cli.main(["gen-curve", "--d", "20", "--k", "2", "--n", "4",
