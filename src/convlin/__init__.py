@@ -54,11 +54,8 @@ from .shift import (
 )
 from .tasks import (
     TASKS,
-    DataPoint,
     Dataset,
-    dump_csv,
     sample_training_set,
-    separator_witness,
     whole_dataset,
 )
 from .theory import (

@@ -538,15 +538,3 @@ def _mean_se(values):
     arr = np.asarray(values, dtype=float)
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
     return float(arr.mean()), se
-
-
-def summarize(rows, model=None, loss=None, n=None):
-    """Mean and standard error of test_error over matching rows."""
-    vals = [r.test_error for r in rows
-            if r.test_error is not None
-            and (model is None or r.model == model)
-            and (loss is None or r.loss == loss)
-            and (n is None or r.n == n)]
-    if not vals:
-        raise ValueError("no matching rows")
-    return _mean_se(vals)

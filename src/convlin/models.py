@@ -23,17 +23,15 @@ nonzeros, built once per dataset.  `margins` reads it, and one counter,
 
 One loop in `train` runs every model and loss, and each supplies only
 its update.  The loop holds the current margins of the training set's
-design and stops at a zero hinge loss under the loss_zero rule, or at
-the step budget.  Otherwise it calls the update with the active set,
-and the update advances the weights and returns the effective weight
-vectors c and the margins of the J >= 1 steps it took, as (J, d) and
-(J, n) arrays, with the weights after each of those steps, which the
-loop copies only to record them.  The loop scores the steps in batches
-of rows: the losses as row sums, the errors as row sums of signs, the
-eval errors from one gather of the stacked c, and it raises at the
-first step whose loss is not finite.  A fitted state under fixed steps
-is a fixed point: the loop repeats its rows and never calls the update,
-since adding a zero step would turn -0.0 into +0.0.
+design.  A hinge run stops at a zero loss or at the step budget, an
+extreme-hinge run at the step budget.  Until then the loop calls the
+update with the active set, and the update advances the weights and
+returns the effective weight vectors c and the margins of the J >= 1
+steps it took, as (J, d) and (J, n) arrays, with the weights after each
+of those steps, which the loop copies only to record them.  The loop
+scores the steps in batches of rows: the losses as row sums, the errors
+as row sums of signs, the eval errors from one gather of the stacked c,
+and it raises at the first step whose loss is not finite.
 
 Conv and fc hinge updates take one step per call.  The active sum s is
 one bincount.  For conv, the output gradient adds the shifted copies of
@@ -92,7 +90,7 @@ sequential sum.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -149,9 +147,8 @@ class TrainConfig:
     ``alpha`` defaults to DEFAULT_ALPHA; ``init`` is an initialization
     scheme name applied to every weight tensor, or None for the per-loss
     default: gaussian everywhere for hinge, a gaussian filter and a zero
-    output layer for xhinge.  ``stop_rule`` is "loss_zero" (hinge
-    only: stop at exact 0.0 training loss) or "fixed_steps".
-    Extreme-hinge runs always rescale past RENORM_THRESHOLD.
+    output layer for xhinge.  Extreme-hinge runs always rescale past
+    RENORM_THRESHOLD.
     """
 
     loss: str = "hinge"
@@ -159,7 +156,6 @@ class TrainConfig:
     max_steps: int = 100_000
     init: str | None = None
     b: float = DEFAULT_B
-    stop_rule: str | None = None
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -172,12 +168,6 @@ class TrainConfig:
             raise ConfigError(f"init scale b must be positive and finite, got {self.b}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.stop_rule is None:
-            self.stop_rule = "loss_zero" if self.loss == "hinge" else "fixed_steps"
-        if self.stop_rule not in ("loss_zero", "fixed_steps"):
-            raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
-        if self.stop_rule == "loss_zero" and self.loss != "hinge":
-            raise ConfigError("stop rule 'loss_zero' is only defined for hinge")
         if self.init is not None and self.init not in INIT_SCHEMES:
             raise ConfigError(
                 f"unknown init scheme {self.init!r}; expected one of {INIT_SCHEMES}"
@@ -489,8 +479,9 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
 
     ``initial`` overrides the drawn init (it is copied, never mutated).
     With ``eval_set`` given, the whole-dataset error is recorded every
-    step.  Returns a TrainTrace; the stop reason is "loss-zero",
-    "step-budget" (loss_zero rule ran out of steps) or "fixed-steps".
+    step.  Returns a TrainTrace.  A hinge run stops at a zero training
+    loss ("loss-zero") or else after ``max_steps`` ("step-budget"); an
+    extreme-hinge run always takes ``max_steps`` ("fixed-steps").
     Raises NumericalError at the first step whose loss is not finite,
     and when the final weights are not finite.
     """
@@ -550,24 +541,16 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
                 unscored = 0
             act = m[-1] < 1.0
             fitted = config.loss == "hinge" and not act.any()  # a zero loss
-            if (fitted and config.stop_rule == "loss_zero") or t == config.max_steps:
+            if fitted or t == config.max_steps:
                 break
-            steps = min(max_rows, config.max_steps - t)
-            if fitted:
-                # A fixed point: the weights are never touched, since adding
-                # a zero step would turn -0.0 into +0.0.
-                c = np.broadcast_to(c[-1], (steps, d))
-                m = np.broadcast_to(m[-1], (steps, n))
-                stepped = [weights] * steps
-            else:
-                c, m, stepped = update(m[-1], act, steps)
+            c, m, stepped = update(m[-1], act, min(max_rows, config.max_steps - t))
         if unscored:
             score()
 
     if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
         raise _diverged(model, config, f"the weights after step {t} are not finite")
 
-    if config.stop_rule == "fixed_steps":
+    if config.loss == "xhinge":
         stop_reason = "fixed-steps"
     else:
         stop_reason = "loss-zero" if fitted else "step-budget"
@@ -581,8 +564,3 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
         renormalizations=len(rescales),
         weights_per_step=snaps,
     )
-
-
-def continue_config(config, extra_steps):
-    """Config for extending a finished run by a fixed number of steps."""
-    return replace(config, max_steps=extra_steps, stop_rule="fixed_steps")

@@ -29,6 +29,7 @@ from oracles import (
     asymptotic_error_alone,
     asymptotic_margin,
     degenerate_error_per_draw,
+    dense_point,
 )
 
 
@@ -168,9 +169,9 @@ class TestAsymptoticMargins:
         aw = asymptotic_weights(w0, mtr)
         expected = float(w0 @ w0) / np.sqrt(3.0)
         for i in range(len(sp)):
-            assert asymptotic_margin(sp.point(i), aw, 5) == \
+            assert asymptotic_margin(dense_point(sp, i), aw, 5) == \
                 pytest.approx(expected, rel=1e-12)
-            assert asymptotic_margin(sp.point(i), aw, 5) > 0.0
+            assert asymptotic_margin(dense_point(sp, i), aw, 5) > 0.0
 
     def test_uncovered_position_margin_is_exactly_zero(self, cls100):
         """A test position far outside the trained band has a margin
@@ -178,7 +179,7 @@ class TestAsymptoticMargins:
         tr = make_training_set(100, [(10, 1.0, 1), (11, 1.0, 1)])
         aw = asymptotic_weights(np.random.default_rng(6).standard_normal(5),
                                 training_average(tr, 5))
-        far = cls100.point(2 * 49)
+        far = dense_point(cls100, 2 * 49)
         assert np.array_equal(far.x, np.eye(100)[49])
         assert asymptotic_margin(far, aw, 5) == 0.0
 
@@ -190,7 +191,7 @@ class TestAsymptoticMargins:
         # The output weights live on positions 6..11 and the width-5
         # filter widens that band to 6..15; the other 90 positions are
         # ties worth one half each.
-        margins = [asymptotic_margin(cls100.point(i), aw, 5)
+        margins = [asymptotic_margin(dense_point(cls100, i), aw, 5)
                    for i in range(len(cls100))]
         ties = sum(1 for m in margins if m == 0.0)
         wrong = sum(1 for m in margins if m < 0.0)

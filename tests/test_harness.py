@@ -32,12 +32,11 @@ from convlin.harness import (
     rows_to_csv,
     rows_to_json,
     run,
-    summarize,
     write_result,
 )
 from convlin.models import TrainConfig, TrainTrace, classification_error, train
 from convlin.tasks import sample_training_set, whole_dataset
-from oracles import write_traces_csv
+from oracles import summarize, write_traces_csv
 
 
 def tiny_gen_spec(**overrides):
@@ -614,6 +613,36 @@ class TestDependencies:
                 else:
                     continue
                 assert not banned & set(roots), f"{name} imports {roots}"
+
+    # Only tests read these; they live in tests/oracles.py or are gone.
+    TEST_ONLY = {"stop_rule", "continue_config", "dump_csv", "DataPoint",
+                 "separator_witness", "summarize"}
+
+    def test_test_only_names_stay_out_of_src(self):
+        """No module in src/ defines, imports, passes or exports a name
+        that only tests use: as a def or class, an assigned name, field
+        or attribute, a parameter or keyword, or an import alias."""
+        pkg = os.path.dirname(os.path.abspath(cli.__file__))
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            found = set()
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    found.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    found.add(node.attr)
+                elif isinstance(node, (ast.arg, ast.keyword)):
+                    found.add(node.arg)
+                elif isinstance(node, ast.alias):
+                    found.update((node.name, node.asname))
+                elif isinstance(node, ast.Constant):  # an __all__ entry
+                    found.add(node.value)
+            assert not self.TEST_ONLY & found, f"{name} defines {self.TEST_ONLY & found}"
 
 
 class TestMain:

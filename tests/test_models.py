@@ -25,16 +25,21 @@ from convlin.models import (
     TrainConfig,
     TrainTrace,
     classification_error,
-    continue_config,
     effective_weights,
     error_from_margins,
     init_weights,
     margins,
     train,
 )
-from convlin.shift import training_average
 from convlin.tasks import Dataset, sample_training_set, whole_dataset
-from oracles import error_rate, forward, hinge_loss, point_margins
+from oracles import (
+    dense,
+    error_rate,
+    forward,
+    hinge_loss,
+    point_margins,
+    scalar_train,
+)
 
 
 def single_point_set(task, d, pos, value, y):
@@ -82,7 +87,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         w = ConvWeights(w1=rng.standard_normal(3), w2=rng.standard_normal(10))
         np.testing.assert_allclose(margins(w, whole),
-                                   whole.y * (whole.X @ effective_weights(w)),
+                                   whole.y * (dense(whole) @ effective_weights(w)),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("task", ("cls", "1stctrl", "parity", "3rdctrl"))
@@ -214,15 +219,6 @@ class TestTrainConfig:
         assert TrainConfig(loss="hinge").alpha == DEFAULT_ALPHA
         assert TrainConfig(loss="xhinge", max_steps=5).alpha == DEFAULT_ALPHA
 
-    def test_stop_rules(self):
-        assert TrainConfig(loss="hinge").stop_rule == "loss_zero"
-        assert TrainConfig(loss="xhinge", max_steps=5).stop_rule == \
-            "fixed_steps"
-        with pytest.raises(ConfigError):
-            TrainConfig(loss="xhinge", stop_rule="loss_zero")
-        with pytest.raises(ConfigError):
-            TrainConfig(loss="hinge", stop_rule="sometimes")
-
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             TrainConfig(loss="l2")
@@ -289,8 +285,7 @@ class TestHingeTraining:
         """Both conv layers step from the old values; a sequential
         update would double-count the filter move in w2."""
         tr = single_point_set("cls", 2, 1, 1.0, 1)
-        cfg = TrainConfig(loss="hinge", alpha=1.0, max_steps=1,
-                          stop_rule="fixed_steps")
+        cfg = TrainConfig(loss="hinge", alpha=1.0, max_steps=1)
         w0 = ConvWeights(w1=np.array([1.0]), w2=np.array([0.5, 0.0]))
         trace = train("conv", tr, cfg, np.random.default_rng(0), k=1,
                       initial=w0)
@@ -364,13 +359,15 @@ class TestHingeTraining:
                 assert hinge_loss(trace.weights, tr) == 0.0
 
     def test_constant_after_zero_loss(self):
+        """A run that stops at zero loss stops at a fixed point: five
+        more steps of the reference loop move no weight."""
         whole = whole_dataset("cls", 50)
         tr = sample_training_set(whole, 25, np.random.default_rng(9))
         cfg = TrainConfig(loss="hinge")
         trace = train("conv", tr, cfg, np.random.default_rng(10), k=5)
         assert trace.stop_reason == "loss-zero"
-        more = train("conv", tr, continue_config(cfg, 5),
-                     np.random.default_rng(11), k=5, initial=trace.weights)
+        more = scalar_train("conv", tr, replace(cfg, max_steps=5), None,
+                            initial=trace.weights, past_fit=True)
         np.testing.assert_array_equal(more.weights.w1, trace.weights.w1)
         np.testing.assert_array_equal(more.weights.w2, trace.weights.w2)
         np.testing.assert_array_equal(more.train_loss, np.zeros(6))
@@ -459,114 +456,6 @@ class TestXhingeTraining:
         np.testing.assert_array_equal(a.test_error, b.test_error)
 
 
-def _scalar_active_sum(tr, act):
-    """sum over active points of y_i * x_i, as a dense d-vector."""
-    w = (tr.y[act, None] * tr.values[act]).ravel()
-    return np.bincount(tr.positions[act].ravel(), weights=w, minlength=tr.d)
-
-
-def _scalar_corr_filter(s, w2, k):
-    """(A_s).T @ w2 for the shift matrix of s: out[j] = s[j:] @ w2[:d-j]."""
-    d = s.shape[0]
-    out = np.empty(k)
-    for j in range(k):
-        out[j] = s[j:] @ w2[: d - j]
-    return out
-
-
-def _scalar_conv_vec(s, w1):
-    """A_s @ w1: out[i] = sum_j w1[j] * s[i + j] (zero padded)."""
-    d = s.shape[0]
-    out = np.zeros(d)
-    for j, cj in enumerate(w1):
-        if cj != 0.0:
-            out[: d - j] += cj * s[j:]
-    return out
-
-
-def _scalar_hinge_step(model, weights, tr, alpha, m):
-    act = m < 1.0
-    if not np.any(act):
-        return
-    s = _scalar_active_sum(tr, act)
-    scale = alpha / len(tr)
-    if model == "1layer":
-        weights.w += scale * s
-    elif model == "conv":
-        g1 = _scalar_corr_filter(s, weights.w2, weights.w1.shape[0])
-        g2 = _scalar_conv_vec(s, weights.w1)
-        weights.w1 += scale * g1
-        weights.w2 += scale * g2
-    else:
-        g_W1 = np.outer(weights.w2, s)
-        g_w2 = weights.W1 @ s
-        weights.W1 += scale * g_W1
-        weights.w2 += scale * g_w2
-
-
-def scalar_train(model, tr, config, rng, k=None, eval_set=None,
-                 initial=None, record_weights=False, renormalize=True):
-    """The reference training loop: point-major margins and masked
-    error counts from the oracles, and the conv gradients one lag at a
-    time.  ``renormalize=False`` turns off the extreme-hinge rescale,
-    which `train` always applies."""
-    weights = initial.copy() if initial is not None else init_weights(
-        model, tr.d, k, config, rng)
-    mtr = None
-    if config.loss == "xhinge":
-        mtr = training_average(tr, weights.w1.shape[0])
-    steps, losses, terrs, eerrs = [], [], [], []
-    snaps = [] if record_weights else None
-    renorms = 0
-    stop_reason = "fixed-steps"
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(config.max_steps + 1):
-            m = point_margins(weights, tr)
-            if config.loss == "hinge":
-                loss = float(np.mean(np.maximum(0.0, 1.0 - m)))
-            else:
-                loss = float(np.mean(-m))
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"{model} {config.loss} training diverged at "
-                    f"alpha={config.alpha}: the loss at step {t} is not finite")
-            steps.append(t)
-            losses.append(loss)
-            terrs.append(error_rate(m))
-            eerrs.append(error_rate(point_margins(weights, eval_set))
-                         if eval_set is not None else np.nan)
-            if snaps is not None:
-                snaps.append(weights.copy())
-            if config.stop_rule == "loss_zero" and loss == 0.0:
-                stop_reason = "loss-zero"
-                break
-            if t == config.max_steps:
-                stop_reason = ("step-budget" if config.stop_rule == "loss_zero"
-                               else "fixed-steps")
-                break
-            if config.loss == "hinge":
-                _scalar_hinge_step(model, weights, tr, config.alpha, m)
-            else:
-                w1_new = weights.w1 + config.alpha * (mtr.T @ weights.w2)
-                w2_new = weights.w2 + config.alpha * (mtr @ weights.w1)
-                weights.w1, weights.w2 = w1_new, w2_new
-                if renormalize:
-                    mx = max(np.max(np.abs(weights.w1)), np.max(np.abs(weights.w2)))
-                    if mx > RENORM_THRESHOLD:
-                        weights.w1 /= mx
-                        weights.w2 /= mx
-                        renorms += 1
-    if not all(np.all(np.isfinite(tensor)) for tensor in vars(weights).values()):
-        raise NumericalError(
-            f"{model} {config.loss} training diverged at alpha={config.alpha}: "
-            f"the weights after step {steps[-1]} are not finite")
-    return TrainTrace(
-        steps=np.asarray(steps), train_loss=np.asarray(losses),
-        train_error=np.asarray(terrs), test_error=np.asarray(eerrs),
-        weights=weights, stop_reason=stop_reason, renormalizations=renorms,
-        weights_per_step=snaps)
-
-
 def _max_abs(weights):
     """The joint max-abs of a conv model's two layers."""
     return max(np.abs(weights.w1).max(), np.abs(weights.w2).max())
@@ -627,23 +516,28 @@ class TestScalarOracle:
         assert_same_trace(got, want)
 
     def test_continued_run_after_zero_loss(self):
-        """Fixed steps past a fitted set leave every weight untouched,
-        as in the scalar loop, down to the sign of a zero."""
+        """The reference loop run for fixed steps past a set that `train`
+        fitted leaves every weight untouched, down to the sign of a zero:
+        the check that criterion 9 runs on every fitted hinge run."""
         whole = whole_dataset("cls", 40)
         tr = sample_training_set(whole, 20, np.random.default_rng(1))
         cfg = TrainConfig(loss="hinge")
-        more = continue_config(cfg, 3)
+        more = replace(cfg, max_steps=3)
         for model in ("1layer", "conv", "fc"):
             first = train(model, tr, cfg, np.random.default_rng(2), k=10)
-            want = scalar_train(model, tr, more, None, initial=first.weights,
-                                record_weights=True)
-            got = train(model, tr, more, None, initial=first.weights,
-                        record_weights=True)
-            assert_same_trace(got, want)
+            assert first.stop_reason == "loss-zero"
+            got = scalar_train(model, tr, more, None, initial=first.weights,
+                               record_weights=True, past_fit=True)
+            assert got.stop_reason == "fixed-steps"
+            np.testing.assert_array_equal(got.steps, np.arange(4))
+            np.testing.assert_array_equal(got.train_loss, np.zeros(4))
+            for w in (got.weights, *got.weights_per_step):
+                assert_same_weights(w, first.weights)
         # The positions no training point uses do not move the margins.
         w = train("1layer", tr, cfg, np.random.default_rng(2)).weights.w
         w[np.setdiff1d(np.arange(40), tr.positions)] = -0.0
-        got = train("1layer", tr, more, None, initial=LinearWeights(w))
+        got = scalar_train("1layer", tr, more, None, initial=LinearWeights(w),
+                           past_fit=True)
         assert np.all(np.signbit(got.weights.w) == np.signbit(w))
 
     @pytest.mark.parametrize("model", ("1layer", "conv", "fc"))

@@ -6,9 +6,11 @@ import pytest
 from convlin.errors import ShapeError
 from convlin.models import ConvWeights
 from convlin.shift import shift_matrix, training_average
-from convlin.tasks import DataPoint, Dataset, sample_training_set, whole_dataset
+from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from oracles import (
+    DataPoint,
     conv_score_via_matrix,
+    dense_points,
     forward,
     signed_average_from_points,
     signed_shift_matrix,
@@ -110,10 +112,9 @@ class TestTrainingAverage:
         rng = np.random.default_rng(3)
         for _ in range(20):
             tr = sample_training_set(whole, int(rng.integers(1, 30)), rng)
-            pts = [tr.point(i) for i in range(len(tr))]
             np.testing.assert_allclose(
                 training_average(tr, 4),
-                signed_average_from_points(pts, 4), atol=1e-15)
+                signed_average_from_points(dense_points(tr), 4), atol=1e-15)
 
     def test_empty_rejected(self):
         tr = Dataset(task="cls", d=4, positions=np.zeros((0, 1), int),

@@ -5,15 +5,8 @@ import pytest
 from scipy import stats
 
 from convlin.errors import ConfigError
-from convlin.tasks import (
-    TASKS,
-    Dataset,
-    dump_csv,
-    sample_training_set,
-    separator_witness,
-    whole_dataset,
-)
-from oracles import signed_shift_matrix
+from convlin.tasks import TASKS, Dataset, sample_training_set, whole_dataset
+from oracles import dense, dense_points, separator_witness, signed_shift_matrix
 
 ALL_TASK_DIMS = [("cls", 7), ("cls", 100), ("1stctrl", 4), ("1stctrl", 100),
                  ("3rdctrl", 5), ("3rdctrl", 30), ("parity", 5), ("parity", 100)]
@@ -49,40 +42,40 @@ class TestEnumeration:
     def test_cls_small(self):
         ds = whole_dataset("cls", 3)
         assert len(ds) == 6
-        pts = [(tuple(p.x), p.y) for p in ds]
+        pts = [(tuple(p.x), p.y) for p in dense_points(ds)]
         assert ((1.0, 0.0, 0.0), 1) in pts
         assert ((-1.0, 0.0, 0.0), -1) in pts
         assert len(set(pts)) == 6
 
     def test_firstctrl_labels(self):
         ds = whole_dataset("1stctrl", 4)
-        labels = {int(np.flatnonzero(p.x)[0]) + 1: p.y for p in ds}
+        labels = {int(np.flatnonzero(p.x)[0]) + 1: p.y for p in dense_points(ds)}
         assert labels == {1: -1, 2: -1, 3: 1, 4: 1}
 
     def test_thirdctrl_labels(self):
         ds = whole_dataset("3rdctrl", 3)
         assert len(ds) == 6
-        by_x = {tuple(p.x): p.y for p in ds}
+        by_x = {tuple(p.x): p.y for p in dense_points(ds)}
         assert by_x[(1.0, -1.0, 0.0)] == -1
         assert by_x[(-1.0, 1.0, 0.0)] == 1
 
     def test_parity_labels(self):
         ds = whole_dataset("parity", 5)
-        labels = [p.y for p in ds]
+        labels = [p.y for p in dense_points(ds)]
         assert labels == [1, -1, 1, -1, 1]
 
     def test_no_duplicates(self):
         for task, d in ALL_TASK_DIMS:
             ds = whole_dataset(task, d)
-            pts = {(tuple(p.x), p.y) for p in ds}
+            pts = {(tuple(p.x), p.y) for p in dense_points(ds)}
             assert len(pts) == len(ds)
 
     def test_cls_sign_symmetry(self):
         """Negating a cls point stays in the dataset and leaves the
         signed shift matrix unchanged."""
         ds = whole_dataset("cls", 6)
-        pts = {(tuple(p.x), p.y) for p in ds}
-        for p in ds:
+        pts = {(tuple(p.x), p.y) for p in dense_points(ds)}
+        for p in dense_points(ds):
             assert (tuple(-p.x), -p.y) in pts
             M = signed_shift_matrix(p, 3)
             p.x, p.y = -p.x, -p.y
@@ -104,7 +97,7 @@ class TestWitness:
     def test_separates(self, task, d):
         w = separator_witness(task, d)
         ds = whole_dataset(task, d)
-        margins = ds.y * (ds.X @ w)
+        margins = ds.y * (dense(ds) @ w)
         assert np.all(margins >= 1.0)
 
     def test_known_forms(self):
@@ -173,22 +166,10 @@ class TestDenseView:
     def test_matches_points(self):
         for task, d in ALL_TASK_DIMS:
             ds = whole_dataset(task, d)
-            stacked = np.stack([p.x for p in ds])
-            np.testing.assert_array_equal(ds.X, stacked)
+            stacked = np.stack([p.x for p in dense_points(ds)])
+            np.testing.assert_array_equal(dense(ds), stacked)
 
     def test_entry_alphabet(self):
-        ds = whole_dataset("3rdctrl", 9)
-        assert set(np.unique(ds.X)) <= {-1.0, 0.0, 1.0}
-        assert np.all(np.abs(ds.X).sum(axis=1) == 2)
-
-
-class TestDump:
-    def test_csv_round_trip(self, tmp_path):
-        ds = whole_dataset("3rdctrl", 3)
-        path = tmp_path / "points.csv"
-        dump_csv(ds, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,y,nonzeros"
-        assert len(lines) == 1 + len(ds)
-        # First point is +1 at position 1, -1 at position 2, label -1.
-        assert lines[1] == "0,-1,1:+1;2:-1"
+        X = dense(whole_dataset("3rdctrl", 9))
+        assert set(np.unique(X)) <= {-1.0, 0.0, 1.0}
+        assert np.all(np.abs(X).sum(axis=1) == 2)

@@ -32,6 +32,7 @@ from convlin.theory import (
     sample_complexity,
     sparse_training_set,
 )
+from oracles import dense_point
 
 
 def gram_of_positions(pos_0b, d, k):
@@ -336,9 +337,9 @@ class TestSparseTrainingSet:
         sp = sparse_training_set(100, 5, 3)
         # Row 2l of the cls dataset is +e_l.
         for i, idx in enumerate(2 * sp.positions[:, 0]):
-            point = whole.point(int(idx))
+            point = dense_point(whole, int(idx))
             assert point.y == 1
-            np.testing.assert_array_equal(point.x, sp.point(i).x)
+            np.testing.assert_array_equal(point.x, dense_point(sp, i).x)
 
     def test_gram_is_scaled_identity(self):
         for n in (1, 3, 10):
