@@ -30,8 +30,11 @@ returns the effective weight vectors c and the margins of the J >= 1
 steps it took, as (J, d) and (J, n) arrays, with the weights after each
 of those steps, which the loop copies only to record them.  The loop
 scores the steps in batches of rows: the losses as row sums, the errors
-as row sums of signs, the eval errors from one gather of the stacked c,
-and it raises at the first step whose loss is not finite.
+as row sums of signs, the eval errors from one gather of the stacked c
+on the eval set's distinct columns (`Dataset.distinct`: a whole cls set
+has 2d points and d distinct columns) and one product of their signs
+with the column counts, and it raises at the first step whose loss is
+not finite.
 
 Conv and fc hinge updates take one step per call.  The active sum s is
 one bincount.  For conv, the output gradient adds the shifted copies of
@@ -52,8 +55,10 @@ in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
 training average, and has no active set, so only the step budget ends a
 block.  A block runs that recurrence row by row into one preallocated
 array of [w1 | w2] rows.  Each step writes the same two BLAS products
-as a single step into two buffers made once per run, scales them by
-alpha in place and adds them into the row.  A row whose joint max-abs
+as a single step into one [M^T w2 | M w1] buffer made once per run,
+scales it by alpha in place with one multiply and adds it to the
+previous row with one add, into the row; a block's first row adds it
+to a concatenated copy of the weights.  A row whose joint max-abs
 passes RENORM_THRESHOLD is divided by it in place, and the next step
 starts from the rescaled row, so a block holds any number of rescales
 and no row is computed that is not a step.  Rows are scanned for their
@@ -64,12 +69,15 @@ floor(log(THR / top) / log g) - 1 rows cannot pass the threshold THR
 and are not scanned.  g carries a slack for rounding; the window
 restarts at each scanned row and ends with the block, and a zero,
 infinite or NaN max-abs or an infinite g gives none.  Then each row
-takes one np.convolve for its effective weights, through the helper
-that collapses any conv model, and the block one margins gather.
-A lag sum batched over the rows would add each entry's k products in
-another order than np.convolve's dot and round differently: at d = 100
-and k = 5 it differed in some entry for 2000 of 2000 random weights in
-ascending lag order, and for 1370 in descending order.
+takes one np.correlate for its effective weights, through
+`conv_collapse`, the helper that collapses any conv model, and the
+block one margins gather.  np.correlate of w2 with the reversed w1 is
+np.convolve(w2, w1) without that wrapper's checks: the same kernel
+makes the same dot calls.  A lag sum batched over the rows would add
+each entry's k products in another order than that dot and round
+differently: at d = 100 and k = 5 it differed in some entry for 2000
+of 2000 random weights in ascending lag order, and for 1370 in
+descending order.
 
 The result is bit for bit that of the per-point, per-lag loop kept as
 the oracle in the tests.  Every y * x entry is +-1, so s is an integer
@@ -81,12 +89,14 @@ length-d dot into blocks differently from a length d - j one.  A
 one-layer block is exact because a cumulative sum adds sequentially, so
 each row is the repeated in-place w += v.  An xhinge row takes the same
 products, the same rescale and the same convolution of the same vectors
-as a single step, and a row inside a growth window is one that no
-rescale could touch.  The batched losses are exact because the margins
-array is C-ordered: the row sums then run along contiguous rows, each
-the pairwise sum of one 1-D margin vector.  The row sums of a
-Fortran-ordered array would add its columns one after another, a
-sequential sum.
+as a single step (each entry takes the same product, scale and add),
+and a row inside a growth window is one that no rescale could touch.
+The batched losses are exact because the margins array is C-ordered:
+the row sums then run along contiguous rows, each the pairwise sum of
+one 1-D margin vector.  The row sums of a Fortran-ordered array would
+add its columns one after another, a sequential sum.  An eval error on the distinct columns is exact: the
+points that share a column have the same margin, and the weighted sum
+of signs is an integer, exact in any summation order.
 """
 
 import math
@@ -231,7 +241,7 @@ def effective_weights(weights):
 def conv_collapse(w1, w2):
     """The effective weights of a conv model: w2 convolved with w1,
     truncated to the input length."""
-    return np.convolve(w2, w1)[: w2.shape[0]]
+    return np.correlate(w2, w1[::-1], "full")[: w2.shape[0]]
 
 
 def margins(weights, data):
@@ -261,22 +271,26 @@ def _design_margins(c, design):
     return m
 
 
-def error_from_margins(m, zero_tol=None):
+def error_from_margins(m, zero_tol=None, counts=None):
     """Classification error along the last axis of the margins m, with
     the half-credit zero rule.
 
     A negative margin counts 1, a zero margin 1/2, and a positive or NaN
     margin 0.  With ``zero_tol`` given, which may be a per-point array,
-    every margin within +-zero_tol counts 1/2.  The count is one exact
-    sum: with a tie's sign taken as 0 and a NaN sign as 1,
-    n - sum(sign m) is the integer 2 * wrong + tied."""
+    every margin within +-zero_tol counts 1/2.  With ``counts`` given,
+    margin i stands for counts[i] points, as on `Dataset.distinct`.  The
+    count is one exact sum: with a tie's sign taken as 0 and a NaN sign
+    as 1, n - sum(sign m * counts) is the integer 2 * wrong + tied."""
     m = np.asarray(m, dtype=float)
     sign = np.sign(m)
     if zero_tol is not None:
         sign[np.abs(m) <= zero_tol] = 0.0
     np.fmin(sign, 1.0, out=sign)
-    n = m.shape[-1]
-    return (n - sign.sum(axis=-1)) / (2 * n)
+    if counts is None:
+        n, signs = m.shape[-1], sign.sum(axis=-1)
+    else:
+        n, signs = counts.sum(), sign @ counts
+    return (n - signs) / (2 * n)
 
 
 def classification_error(weights, dataset):
@@ -326,7 +340,8 @@ def _diverged(model, config, what):
 
 
 # Cap on rows x width of the arrays that hold and score a batch of steps,
-# width being the largest of n, the eval set size and d.  glibc malloc
+# width being the largest of n, d and the eval set's number of distinct
+# signed columns (an xhinge block's rows are k + d wide).  glibc malloc
 # trims a free heap top past its threshold (128 KB by default), so what a
 # batch frees is faulted back in by the next: 64 KB arrays take a third of
 # the page faults of 128 KB ones (1 << 14) and run faster.
@@ -426,7 +441,9 @@ def _conv_xhinge(weights, design, alpha, tr, rescales):
     abs_m = np.abs(mtr)
     rate = alpha * float(max(abs_m.sum(axis=0).max(), abs_m.sum(axis=1).max()))
     log_g = math.log((1.0 + rate) * (1.0 + 4 * (d + kw) * np.finfo(float).eps))
-    p1, p2 = np.empty(kw), np.empty(d)
+    # The two products of a step, [M^T w2 | M w1], in one buffer.
+    prods = np.empty(kw + d)
+    p1, p2 = prods[:kw], prods[kw:]
 
     def window(top):
         """The number of rows after one of max-abs ``top`` that cannot
@@ -446,12 +463,14 @@ def _conv_xhinge(weights, design, alpha, tr, rescales):
         # scanned; the window ends with the block.
         block = np.empty((steps, kw + d))
         w1, w2 = weights.w1, weights.w2
+        prev = np.concatenate((w1, w2))
         w1s, w2s = block[:, :kw], block[:, kw:]
         skip = 0
         for row, head, tail in zip(block, w1s, w2s):
-            np.multiply(np.dot(mtr_t, w2, out=p1), alpha, out=p1)
-            np.multiply(np.dot(mtr, w1, out=p2), alpha, out=p2)
-            w1, w2 = np.add(w1, p1, out=head), np.add(w2, p2, out=tail)
+            np.dot(mtr_t, w2, out=p1)
+            np.dot(mtr, w1, out=p2)
+            np.multiply(prods, alpha, out=prods)
+            prev, w1, w2 = np.add(prev, prods, out=row), head, tail
             if skip:
                 skip -= 1
                 continue
@@ -490,7 +509,8 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     weights = initial.copy() if initial is not None else init_weights(
         model, tr.d, k, config, rng)
     design = tr.signed
-    eval_design = None if eval_set is None else eval_set.signed
+    # The eval errors are counted over the eval set's distinct signed columns.
+    eval_design, eval_counts = (None, None) if eval_set is None else eval_set.distinct
     n, d = len(tr), tr.d
     rescales = []
     if config.loss == "hinge":
@@ -521,7 +541,8 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
         losses.append(loss)
         terrs.append(error_from_margins(m))
         if eval_design is not None:
-            eerrs.append(error_from_margins(_design_margins(c, eval_design)))
+            eerrs.append(error_from_margins(_design_margins(c, eval_design),
+                                            counts=eval_counts))
 
     # A step whose loss is not finite is found when the steps are scored,
     # in order, before any later stop takes effect; the steps past it only

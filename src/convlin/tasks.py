@@ -31,8 +31,8 @@ class Dataset:
     Only the nonzeros are stored: ``positions``/``values`` are (N, m)
     arrays (m = 1 or 2 nonzeros per point, 0-based positions), and ``y``
     holds the labels.  Every margin and error is read from the cached
-    signed design, `signed`, and every tie tolerance from the cached
-    per-point `mass`.
+    signed design, `signed`, or from its distinct columns, `distinct`,
+    and every tie tolerance from the cached per-point `mass`.
     """
 
     task: str
@@ -49,6 +49,18 @@ class Dataset:
         """The signed sparse design: C-ordered (m, N) arrays of the
         positions and of the y * x values, one row per nonzero slot."""
         return self.positions.T.copy(), (self.y[:, None] * self.values).T.copy()
+
+    @cached_property
+    def distinct(self):
+        """The distinct columns of the signed design, in the layout of
+        `signed`, and a float count of the points that share each.  The
+        points of a cls set share their columns in pairs."""
+        positions, yx = self.signed
+        columns, counts = np.unique(np.concatenate((positions, yx)), axis=1,
+                                    return_counts=True)
+        m = positions.shape[0]
+        return ((columns[:m].astype(np.intp, order="C"), columns[m:].copy()),
+                counts.astype(float))
 
     @cached_property
     def mass(self):

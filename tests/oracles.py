@@ -5,11 +5,13 @@ dataset and a dense forward pass, point-major margins and an error
 counted with masks, the hinge loss as a plain mean, the signed shift
 matrix of one point and the training average built from it point by
 point, the conv score and asymptotic margin through the explicit
-matrix, the limiting error of a degenerate training set one draw at a
-time, and training one step at a time with the conv gradients one lag
-at a time.  The package itself stores only each dataset's nonzeros,
-computes these through effective weights and the signed sparse design,
-and scores a degenerate set's draws as one block.  The traces sidecar
+matrix, a conv model's effective weights through np.convolve, the
+limiting error of a degenerate training set one draw at a time, and
+training one step at a time with the conv gradients one lag at a time.
+The package itself stores only each dataset's nonzeros, computes these
+through effective weights and the signed sparse design, counts a whole
+dataset's errors over its distinct columns, and scores a degenerate
+set's draws as one block.  The traces sidecar
 is written here row by row through csv.writer.  A separating weight
 vector per task and the mean test error over result rows are here too,
 as only the tests read them.
@@ -92,15 +94,29 @@ def summarize(rows, model=None, loss=None, n=None):
     return _mean_se(vals)
 
 
+def convolve_collapse(w1, w2):
+    """The effective weights of a conv model through np.convolve: w2
+    convolved with w1, truncated to the input length."""
+    return np.convolve(w2, w1)[: w2.shape[0]]
+
+
+def oracle_weights(weights):
+    """The effective weights of any model, a conv model's through
+    `convolve_collapse`."""
+    if isinstance(weights, ConvWeights):
+        return convolve_collapse(weights.w1, weights.w2)
+    return effective_weights(weights)
+
+
 def forward(weights, x):
     """Score a single dense input."""
-    return float(effective_weights(weights) @ np.asarray(x, dtype=float))
+    return float(oracle_weights(weights) @ np.asarray(x, dtype=float))
 
 
 def point_margins(weights, data):
     """Margins point by point: each point's score, the sum of its
     values times the gathered weights, times its label."""
-    c = effective_weights(weights)
+    c = oracle_weights(weights)
     with np.errstate(over="ignore"):
         return (data.values * c[data.positions]).sum(axis=1) * data.y
 

@@ -24,7 +24,9 @@ from convlin.models import (
     LinearWeights,
     TrainConfig,
     TrainTrace,
+    _design_margins,
     classification_error,
+    conv_collapse,
     effective_weights,
     error_from_margins,
     init_weights,
@@ -33,6 +35,7 @@ from convlin.models import (
 )
 from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from oracles import (
+    convolve_collapse,
     dense,
     error_rate,
     forward,
@@ -110,6 +113,47 @@ class TestForward:
             assert np.isinf(got).any()
 
 
+# Weight entries that a collapse or a margin must carry through exactly.
+SPECIAL_VALUES = (0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300,
+                  1e-300, -1e-300, 1.0, -2.5)
+
+
+def special_weights(rng, shape):
+    """Entries drawn half from SPECIAL_VALUES and half from standard
+    normals scaled by 1e-300, 1 or 1e300."""
+    pool = rng.choice(SPECIAL_VALUES, size=shape)
+    scaled = rng.standard_normal(shape) * rng.choice((1e-300, 1.0, 1e300), size=shape)
+    return np.where(rng.random(shape) < 0.5, pool, scaled)
+
+
+# (d, k): k <= 4 runs numpy's small-kernel correlation path.
+COLLAPSE_SHAPES = [(d, k) for d in (5, 100) for k in sorted({1, 2, 4, 5, 20, d})
+                   if k <= d]
+
+
+class TestConvCollapse:
+    """`conv_collapse` gives np.convolve's effective weights bit for bit,
+    down to the sign of a zero and the bits of a NaN."""
+
+    @pytest.mark.parametrize("d,k", COLLAPSE_SHAPES)
+    def test_matches_convolve(self, d, k):
+        rng = np.random.default_rng(d * 100 + k)
+        for _ in range(100):
+            w1, w2 = rng.standard_normal(k), rng.standard_normal(d)
+            got = conv_collapse(w1, w2)
+            assert got.shape == (d,)
+            assert got.tobytes() == convolve_collapse(w1, w2).tobytes()
+
+    @pytest.mark.parametrize("d,k", COLLAPSE_SHAPES)
+    def test_matches_convolve_on_special_values(self, d, k):
+        rng = np.random.default_rng(d * 100 + k + 1)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for _ in range(100):
+                w1, w2 = special_weights(rng, k), special_weights(rng, d)
+                want = convolve_collapse(w1, w2)
+                assert conv_collapse(w1, w2).tobytes() == want.tobytes()
+
+
 class TestErrorRule:
     def test_pointwise_values(self):
         assert error_from_margins([-2.0]) == 1.0
@@ -145,6 +189,28 @@ class TestErrorRule:
                     for row in rows]
             assert error_from_margins(rows, tol).tolist() == want
             assert [error_from_margins(row, tol) for row in rows] == want
+
+    @pytest.mark.parametrize("task,d", [("cls", 7), ("cls", 100), ("1stctrl", 12),
+                                        ("3rdctrl", 12), ("parity", 9)])
+    def test_distinct_columns_count_as_the_points(self, task, d):
+        """The error over a dataset's distinct columns, each weighted by
+        its count, equals the error over every point, for margins that
+        hold NaN, +-0 and +-inf: on the whole dataset, and on a training
+        set drawn from it, whose columns are shared unevenly."""
+        rng = np.random.default_rng(d)
+        whole = whole_dataset(task, d)
+        for data in (whole, sample_training_set(whole, 3 * d, rng)):
+            design, counts = data.distinct
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                for _ in range(20):
+                    c = special_weights(rng, (50, d))
+                    full = error_from_margins(_design_margins(c, data.signed))
+                    got = error_from_margins(_design_margins(c, design),
+                                             counts=counts)
+                    assert got.tobytes() == full.tobytes()
+                    assert [error_from_margins(_design_margins(row, design),
+                                               counts=counts) for row in c] \
+                        == full.tolist()
 
     def test_scale_invariance(self):
         whole = whole_dataset("parity", 9)
@@ -546,7 +612,7 @@ class TestScalarOracle:
     @pytest.mark.parametrize("with_eval", (False, True))
     def test_linear_blocks_at_scale(self, task, max_steps, with_eval, model):
         """d = 100, k = 5, n = 300: hundreds of steps, scored in batches
-        of up to 54 rows.  A 1layer cls run takes blocks of tens of steps
+        of up to 27 rows.  A 1layer cls run takes blocks of tens of steps
         to zero loss.  The 3rdctrl active set changes at almost every
         step, and its 9900-point whole set caps a batch at one row."""
         whole = whole_dataset(task, 100)
@@ -591,11 +657,12 @@ class TestScalarOracle:
         assert_same_trace(got, want)
 
     @pytest.mark.parametrize("alpha", (0.1, 1e30, 1e200))
-    @pytest.mark.parametrize("max_steps", (1, 2, 37))
+    @pytest.mark.parametrize("max_steps", (1, 2, 37, 81, 82))
     def test_xhinge_budget_inside_block(self, alpha, max_steps):
-        """At d = 100 and n = 30, with the 200-point whole set as eval set,
-        a batch holds 40 rows: these budgets end the run inside the
-        first batch, with or without rescales."""
+        """At d = 100 and n = 30, with the 200-point whole set, of 100
+        distinct columns, as eval set, a batch holds 81 rows: these
+        budgets end the run inside the first batch, on its last row or
+        on the first row of the second, with or without rescales."""
         whole = whole_dataset("cls", 100)
         tr = sample_training_set(whole, 30, np.random.default_rng(11))
         cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
@@ -632,7 +699,7 @@ class TestScalarOracle:
     @staticmethod
     def _d100_sets():
         """d = 100 and n = 30 with the whole set as eval set: each block
-        holds 40 rows, steps 1-40, 41-80 and so on."""
+        holds 81 rows, steps 1-81, 82-162 and so on."""
         whole = whole_dataset("cls", 100)
         return whole, sample_training_set(whole, 30, np.random.default_rng(11))
 
@@ -663,10 +730,10 @@ class TestScalarOracle:
         w0 = ConvWeights(w1=w0.w1 * scale, w2=w0.w2 * scale)
         self._assert_matches_at_d100(w0, 5.0, 100, first_rescale=5)
 
-    @pytest.mark.parametrize("last_row", (40, 80))
+    @pytest.mark.parametrize("last_row", (40, 80, 81, 162))
     def test_xhinge_rescale_on_last_row(self, last_row):
         """The init is scaled so that the first rescale falls on the last
-        row of the first or the second block."""
+        row of the first or the second block (81, 162), or inside them."""
         _, tr = self._d100_sets()
         rng = np.random.default_rng(6)
         w0 = ConvWeights(w1=rng.standard_normal(5), w2=rng.standard_normal(100))
@@ -676,7 +743,26 @@ class TestScalarOracle:
         before, at = map(_max_abs, free.weights_per_step[-2:])
         scale = RENORM_THRESHOLD / np.sqrt(before * at)
         scaled = ConvWeights(w1=w0.w1 * scale, w2=w0.w2 * scale)
-        self._assert_matches_at_d100(scaled, 0.5, 150, first_rescale=last_row)
+        got = self._assert_matches_at_d100(scaled, 0.5, max(150, last_row + 50),
+                                           first_rescale=last_row)
+        assert got.renormalizations >= 1
+
+    def test_xhinge_at_init_study_shape(self):
+        """One xhinge run as init-study makes it: d = 100, k = 5, n = 30,
+        a uniform init and 1000 steps scored on the whole set, of which
+        the run counts 100 distinct columns.  The init is not mutated."""
+        whole, tr = self._d100_sets()
+        w0 = init_weights("conv", 100, 5, TrainConfig(init="uniform"),
+                          np.random.default_rng(8))
+        before = w0.copy()
+        cfg = TrainConfig(loss="xhinge", max_steps=1000)
+        want = scalar_train("conv", tr, cfg, None, initial=w0, eval_set=whole,
+                            record_weights=True)
+        got = train("conv", tr, cfg, None, initial=w0, eval_set=whole,
+                    record_weights=True)
+        assert got.steps_run == 1000
+        assert_same_trace(got, want)
+        assert_same_weights(w0, before)
 
     def test_xhinge_zero_start(self):
         """All-zero weights never move; a zero max-abs gives no window."""

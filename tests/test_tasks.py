@@ -173,3 +173,47 @@ class TestDenseView:
         X = dense(whole_dataset("3rdctrl", 9))
         assert set(np.unique(X)) <= {-1.0, 0.0, 1.0}
         assert np.all(np.abs(X).sum(axis=1) == 2)
+
+
+class TestDistinct:
+    """`Dataset.distinct`: the distinct columns of the signed design and
+    the number of points that share each."""
+
+    @staticmethod
+    def _columns(design):
+        """The columns of a signed design as hashable tuples."""
+        positions, yx = design
+        return list(zip(map(tuple, positions.T.tolist()), map(tuple, yx.T.tolist())))
+
+    @staticmethod
+    def _sets():
+        rng = np.random.default_rng(4)
+        for task, d in ALL_TASK_DIMS:
+            whole = whole_dataset(task, d)
+            yield whole
+            yield sample_training_set(whole, 30, rng)
+
+    def test_counts_cover_every_point_once(self):
+        for ds in self._sets():
+            (positions, yx), counts = ds.distinct
+            assert counts.dtype == float and counts.sum() == len(ds)
+            assert positions.dtype == np.intp and positions.shape == yx.shape
+            assert positions.flags.c_contiguous and yx.flags.c_contiguous
+            distinct = self._columns((positions, yx))
+            assert len(set(distinct)) == len(distinct) == counts.shape[0]
+            shared = dict.fromkeys(distinct, 0)
+            for column in self._columns(ds.signed):
+                shared[column] += 1  # a KeyError is a column with no match
+            assert list(shared.values()) == counts.tolist()
+
+    def test_cls_points_share_columns_in_pairs(self):
+        """+e_l labelled +1 and -e_l labelled -1 have the same signed
+        column; the other tasks have none in common."""
+        (positions, yx), counts = whole_dataset("cls", 100).distinct
+        np.testing.assert_array_equal(positions, np.arange(100)[None])
+        np.testing.assert_array_equal(yx, np.ones((1, 100)))
+        np.testing.assert_array_equal(counts, np.full(100, 2.0))
+        for task, d in ALL_TASK_DIMS:
+            if task != "cls":
+                ds = whole_dataset(task, d)
+                np.testing.assert_array_equal(ds.distinct[1], np.ones(len(ds)))
