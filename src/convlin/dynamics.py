@@ -34,6 +34,12 @@ the same scorer.  Each draw still decomposes the training average
 again in `asymptotic_weights`: the benchmark counts one `thin_svd` per
 draw, and passing one decomposition down waits for that count to
 change.
+
+The Monte-Carlo estimate scores its simple sets in capped blocks too.
+Each set draws only from its own child generator, so scoring a simple
+set later moves no draw: its sign-fixed top pair becomes one row of a
+block of at most ``models.BLOCK_ELEMENTS`` margins, and a full block is
+scored in one call.  A degenerate set is scored as soon as it is drawn.
 """
 
 import math
@@ -143,11 +149,35 @@ def _limit_errors(c, scale, dataset):
                                      zero_tol=scale * dataset.mass)
 
 
+def _limit_row(aw):
+    """The effective weights and the tie scale of asymptotic weights:
+    one row of a block for `_limit_errors`."""
+    return models.conv_collapse(aw.w1, aw.w2), _tie_scale(aw)
+
+
+def _top_pair_weights(dec):
+    """The limit of a simple top singular value: its sign-fixed pair."""
+    u, v = fix_top_pair_sign(dec).top_pair
+    return AsymptoticWeights(w1=v, w2=u, m=1)
+
+
+def _degenerate_error(whole, mtr, k, rng, draws):
+    """Mean limiting error over ``draws`` standard-normal inits w1(0),
+    drawn as one (draws, k) block and scored as one block."""
+    c = np.empty((draws, whole.d))
+    scale = np.empty((draws, 1))
+    for i, w1_0 in enumerate(rng.standard_normal((draws, k))):
+        # Each draw still decomposes mtr again.
+        c[i], scale[i] = _limit_row(asymptotic_weights(w1_0, mtr))
+    errors = _limit_errors(c, scale, whole)
+    # Added in draw order; np.sum would add pairwise and round apart.
+    return float(np.cumsum(errors)[-1]) / draws
+
+
 def asymptotic_error(aw, dataset):
     """Whole-dataset error of asymptotic weights, with margins within
     roundoff of zero scored as ties (half credit)."""
-    c = models.conv_collapse(aw.w1, aw.w2)
-    return float(_limit_errors(c, _tie_scale(aw), dataset))
+    return float(_limit_errors(*_limit_row(aw), dataset))
 
 
 def asymptotic_error_for_trainset(whole, tr, k, rng=None,
@@ -171,21 +201,10 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
         mtr = training_average(tr, k)
     dec = thin_svd(mtr)
     if dec.m == 1:
-        u, v = fix_top_pair_sign(dec).top_pair
-        aw = AsymptoticWeights(w1=v, w2=u, m=1)
-        return asymptotic_error(aw, whole), False
+        return asymptotic_error(_top_pair_weights(dec), whole), False
     if rng is None:
         raise ValueError("degenerate top pair needs an rng for the fallback")
-    c = np.empty((degenerate_draws, whole.d))
-    scale = np.empty((degenerate_draws, 1))
-    for i, w1_0 in enumerate(rng.standard_normal((degenerate_draws, k))):
-        # Each draw still decomposes mtr again.
-        aw = asymptotic_weights(w1_0, mtr)
-        c[i] = models.conv_collapse(aw.w1, aw.w2)
-        scale[i] = _tie_scale(aw)
-    errors = _limit_errors(c, scale, whole)
-    # Added in draw order; np.sum would add pairwise and round apart.
-    return float(np.cumsum(errors)[-1]) / degenerate_draws, True
+    return _degenerate_error(whole, mtr, k, rng, degenerate_draws), True
 
 
 @dataclass
@@ -204,7 +223,13 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
     Each trial draws its own training set of size n (from a child rng,
     so the result does not depend on evaluation order).  A trial whose
     training average is identically zero is redrawn and counted; this
-    cannot happen on the built-in tasks.
+    cannot happen on the built-in tasks.  Every set is decomposed once.
+    A simple set's limit is held as one row of a block capped at
+    ``models.BLOCK_ELEMENTS`` margins (40 rows on cls at d = 100), and a
+    full block, then the rest, is scored in one call; each row scores
+    as it would alone.  A degenerate set is scored when it is drawn,
+    with one decomposition per draw of w1(0), as in
+    `asymptotic_error_for_trainset`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -213,6 +238,12 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
     errors = np.empty(trials)
     degenerate = 0
     resamples = 0
+    # Simple sets wait in a block of at most BLOCK_ELEMENTS margins.
+    rows = min(trials, max(1, models.BLOCK_ELEMENTS // len(whole)))
+    c = np.empty((rows, whole.d))
+    scale = np.empty((rows, 1))
+    index = np.empty(rows, dtype=np.intp)
+    held = 0
     for i, child in enumerate(rng.spawn(trials)):
         for attempt in range(100):
             tr = sample_training_set(whole, n, child)
@@ -222,11 +253,19 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
             resamples += 1
         else:
             raise NumericalError("training average cancelled to zero repeatedly")
-        err, was_degenerate = asymptotic_error_for_trainset(
-            whole, tr, k, rng=child, degenerate_draws=degenerate_draws,
-            mtr=mtr)
-        errors[i] = err
-        degenerate += was_degenerate
+        dec = thin_svd(mtr)
+        if dec.m > 1:
+            errors[i] = _degenerate_error(whole, mtr, k, child, degenerate_draws)
+            degenerate += 1
+            continue
+        c[held], scale[held] = _limit_row(_top_pair_weights(dec))
+        index[held] = i
+        held += 1
+        if held == rows:
+            errors[index] = _limit_errors(c, scale, whole)
+            held = 0
+    if held:
+        errors[index[:held]] = _limit_errors(c[:held], scale[:held], whole)
     stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return AsymptoticErrorEstimate(
         mean=float(errors.mean()),

@@ -84,10 +84,13 @@ def thin_svd(M):
             U[np.flatnonzero(~nonzero)[: k - r], np.arange(r, k)] = 1.0
             sigma = np.concatenate([sigma, np.zeros(k - r)])
 
-    top = sigma[0]
+    values = sigma.tolist()
+    top = values[0]
     if not math.isfinite(top):
         raise ConvergenceError("LAPACK SVD returned a non-finite singular value")
-    m = int(np.count_nonzero(top - sigma <= REL_TOL * top))
+    # The same double operations as on the array; a NaN is never tied.
+    tol = REL_TOL * top
+    m = sum(top - s <= tol for s in values)
     return SpectralDecomposition(U=U, sigma=sigma, V=Vt.T, m=m)
 
 

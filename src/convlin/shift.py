@@ -8,6 +8,8 @@ those over a training set yields the single matrix that drives all the
 linear training dynamics in `convlin.dynamics`.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError
@@ -19,11 +21,26 @@ from .errors import ShapeError
 NONNEGATIVE_AVERAGE_TASKS = ("cls",)
 
 
+# The zero that `shift_matrix` pads x with.
+_PAD = np.zeros(1)
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_index(d, k):
+    """The read-only (d, k) gather index of `shift_matrix`: entry
+    (i, j) is ``min(i + j, d)``, where slot d holds the zero pad."""
+    index = np.minimum(np.add.outer(np.arange(d), np.arange(k)), d)
+    index.flags.writeable = False
+    return index
+
+
 def shift_matrix(x, k):
     """The d x k matrix whose j-th column is x shifted up by j slots.
 
     Zero padding at the bottom; entry (i, j) equals ``x[i + j]`` in
-    0-based terms.  Requires 1 <= k <= d.
+    0-based terms.  Requires 1 <= k <= d.  Built as one gather from x
+    and one zero through a cached index, so every entry is a copy of an
+    entry of x (signed zeros, NaN and infinities included) or +0.0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -31,10 +48,7 @@ def shift_matrix(x, k):
     d = x.shape[0]
     if not 1 <= k <= d:
         raise ShapeError(f"filter width k={k} must satisfy 1 <= k <= d={d}")
-    A = np.zeros((d, k))
-    for j in range(k):
-        A[: d - j, j] = x[j:]
-    return A
+    return np.concatenate((x, _PAD)).take(_shift_index(d, k))
 
 
 def training_average(tr, k):

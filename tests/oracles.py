@@ -6,24 +6,32 @@ counted with masks, the hinge loss as a plain mean, the signed shift
 matrix of one point and the training average built from it point by
 point, the conv score and asymptotic margin through the explicit
 matrix, a conv model's effective weights through np.convolve, the
-limiting error of a degenerate training set one draw at a time, and
-training one step at a time with the conv gradients one lag at a time.
-The package itself stores only each dataset's nonzeros, computes these
-through effective weights and the signed sparse design, counts a whole
-dataset's errors over its distinct columns, and scores a degenerate
-set's draws as one block.  The traces sidecar
+limiting error of a degenerate training set one draw at a time, the
+limit estimate one training set at a time, the shift matrix one column
+at a time, and training one step at a time with the conv gradients one
+lag at a time.  The package itself stores only each dataset's nonzeros,
+computes these through effective weights and the signed sparse design,
+counts a whole dataset's errors over its distinct columns, scores a
+degenerate set's draws and an estimate's simple sets in blocks, and
+gathers a shift matrix through one index.  The traces sidecar
 is written here row by row through csv.writer.  A separating weight
 vector per task and the mean test error over result rows are here too,
 as only the tests read them.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from convlin.dynamics import ZERO_MARGIN_FRAC, asymptotic_weights
-from convlin.errors import NumericalError
+from convlin.dynamics import (
+    ZERO_MARGIN_FRAC,
+    AsymptoticErrorEstimate,
+    asymptotic_error_for_trainset,
+    asymptotic_weights,
+)
+from convlin.errors import NumericalError, ShapeError
 from convlin.harness import _mean_se
 from convlin.models import (
     RENORM_THRESHOLD,
@@ -36,6 +44,7 @@ from convlin.models import (
     margins,
 )
 from convlin.shift import shift_matrix, training_average
+from convlin.tasks import sample_training_set
 
 
 @dataclass
@@ -184,6 +193,47 @@ def degenerate_error_per_draw(whole, mtr, k, rng, draws):
         aw = asymptotic_weights(rng.standard_normal(k), mtr)
         total += asymptotic_error_alone(aw, whole)
     return total / draws
+
+
+def estimate_per_set(whole, n, k, trials, rng, degenerate_draws=64):
+    """`asymptotic_error_estimate` one training set at a time: each
+    child rng draws its set, redrawing a zero average, and the set is
+    scored on its own through `asymptotic_error_for_trainset`."""
+    errors = np.empty(trials)
+    degenerate = resamples = 0
+    for i, child in enumerate(rng.spawn(trials)):
+        for _ in range(100):
+            tr = sample_training_set(whole, n, child)
+            mtr = training_average(tr, k)
+            if np.any(mtr):
+                break
+            resamples += 1
+        else:
+            raise NumericalError("training average cancelled to zero repeatedly")
+        errors[i], was_degenerate = asymptotic_error_for_trainset(
+            whole, tr, k, rng=child, degenerate_draws=degenerate_draws,
+            mtr=mtr)
+        degenerate += was_degenerate
+    stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return AsymptoticErrorEstimate(
+        mean=float(errors.mean()), stderr=stderr,
+        degenerate_fraction=degenerate / trials,
+        zero_average_resamples=resamples, trial_errors=errors)
+
+
+def shift_matrix_by_columns(x, k):
+    """The d x k shift matrix of x filled one column at a time: column j
+    is x[j:] over j zeros."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ShapeError(f"expected a vector, got shape {x.shape}")
+    d = x.shape[0]
+    if not 1 <= k <= d:
+        raise ShapeError(f"filter width k={k} must satisfy 1 <= k <= d={d}")
+    A = np.zeros((d, k))
+    for j in range(k):
+        A[: d - j, j] = x[j:]
+    return A
 
 
 def write_traces_csv(traces, path):

@@ -9,6 +9,7 @@ training sets where everything is known exactly.
 import numpy as np
 import pytest
 
+import convlin.dynamics
 from convlin.dynamics import (
     ZERO_MARGIN_FRAC,
     AsymptoticWeights,
@@ -30,6 +31,7 @@ from oracles import (
     asymptotic_margin,
     degenerate_error_per_draw,
     dense_point,
+    estimate_per_set,
 )
 
 
@@ -317,6 +319,13 @@ class TestBlockScoring:
                 asymptotic_error_alone(aw, whole)
 
 
+def _twin_dataset():
+    """A point and its label-flipped twin: their training average
+    cancels whenever a sample holds both equally often."""
+    return Dataset(task="parity", d=4, positions=np.array([[1], [1]]),
+                   values=np.array([[1.0], [1.0]]), y=np.array([1, -1]))
+
+
 class TestEstimate:
     def test_deterministic_given_seed(self, cls100):
         a = asymptotic_error_estimate(cls100, 30, 5, 10,
@@ -337,11 +346,7 @@ class TestEstimate:
         assert generic.zero_average_resamples == 0
 
     def test_zero_average_is_resampled(self):
-        """A point and its label-flipped twin cancel in the training
-        average whenever a sample holds both equally often."""
-        whole = Dataset(task="parity", d=4, positions=np.array([[1], [1]]),
-                        values=np.array([[1.0], [1.0]]), y=np.array([1, -1]))
-        est = asymptotic_error_estimate(whole, 2, 2, 20,
+        est = asymptotic_error_estimate(_twin_dataset(), 2, 2, 20,
                                         np.random.default_rng(18))
         assert est.zero_average_resamples > 0
         np.testing.assert_array_equal(est.trial_errors, 0.5)
@@ -367,3 +372,80 @@ class TestEstimate:
             asymptotic_error_estimate(cls100, 40, 5, 2, rng,
                                       degenerate_draws=draws)
         assert rng.bit_generator.state == state
+
+
+def _estimate_cases():
+    """(whole, n, k, trials, degenerate_draws) for the block-scored
+    estimate: cls at d = 100 over n and k, k = d, the control tasks
+    (3rdctrl's d(d - 1) points give one-row blocks), the draw counts,
+    the twin set, and 100 cls trials, whose 40-row block flushes twice
+    mid-run and once more at the end."""
+    cls100 = whole_dataset("cls", 100)
+    cases = [pytest.param(cls100, n, k, 6, 64, id=f"cls-n{n}-k{k}")
+             for n in (1, 5, 10, 100) for k in (1, 5, 20)]
+    cases += [
+        pytest.param(cls100, 100, 100, 3, 64, id="cls-k=d"),
+        pytest.param(whole_dataset("1stctrl", 100), 10, 5, 12, 64, id="1stctrl"),
+        pytest.param(whole_dataset("3rdctrl", 100), 10, 5, 6, 64, id="3rdctrl"),
+        pytest.param(whole_dataset("parity", 100), 10, 5, 12, 64, id="parity"),
+        pytest.param(_twin_dataset(), 2, 2, 20, 64, id="twin"),
+        pytest.param(cls100, 100, 5, 100, 64, id="cls-100-trials"),
+    ]
+    cases += [pytest.param(cls100, 10, 5, 40, draws, id=f"cls-draws{draws}")
+              for draws in (1, 16)]
+    return cases
+
+
+class TestEstimateBlocks:
+    """The estimate's block-scored simple sets against scoring each set
+    on its own, bit for bit and in the parent generator's state."""
+
+    @pytest.mark.parametrize("whole,n,k,trials,draws", _estimate_cases())
+    def test_equals_per_set_loop(self, whole, n, k, trials, draws):
+        rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
+        est = asymptotic_error_estimate(whole, n, k, trials, rng,
+                                        degenerate_draws=draws)
+        ref = estimate_per_set(whole, n, k, trials, oracle_rng,
+                               degenerate_draws=draws)
+        assert est.trial_errors.tobytes() == ref.trial_errors.tobytes()
+        assert (est.mean, est.stderr, est.degenerate_fraction,
+                est.zero_average_resamples) == \
+            (ref.mean, ref.stderr, ref.degenerate_fraction,
+             ref.zero_average_resamples)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_cases_cover_mixed_and_resampled_runs(self):
+        """The cases above hold estimates that mix simple and degenerate
+        sets, and one that resamples a zero average."""
+        cls100 = whole_dataset("cls", 100)
+        mixed = asymptotic_error_estimate(cls100, 10, 5, 40,
+                                          np.random.default_rng(41))
+        assert 0.0 < mixed.degenerate_fraction < 1.0
+        twin = asymptotic_error_estimate(_twin_dataset(), 2, 2, 20,
+                                         np.random.default_rng(41))
+        assert twin.zero_average_resamples > 0
+
+    @pytest.mark.parametrize("n,draws", [(10, 64), (1, 3), (100, 64)])
+    def test_one_svd_per_set_and_draw(self, monkeypatch, n, draws):
+        """Every set decomposes once and every degenerate draw once more,
+        the count the benchmark expects, and each simple set's top pair
+        is sign-fixed once."""
+        calls = {"svd": 0, "sign": 0}
+
+        def counting(name, fn):
+            def shim(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return shim
+
+        monkeypatch.setattr(convlin.dynamics, "thin_svd",
+                            counting("svd", convlin.dynamics.thin_svd))
+        monkeypatch.setattr(convlin.dynamics, "fix_top_pair_sign",
+                            counting("sign", convlin.dynamics.fix_top_pair_sign))
+        trials = 50
+        est = asymptotic_error_estimate(whole_dataset("cls", 100), n, 5, trials,
+                                        np.random.default_rng(42),
+                                        degenerate_draws=draws)
+        degenerate = round(est.degenerate_fraction * trials)
+        assert calls["svd"] == trials + draws * degenerate
+        assert calls["sign"] == trials - degenerate

@@ -173,6 +173,9 @@ class TestThinSVD:
                     assert np.abs(dec.sigma - ref).max() <= 1e-12 * ref[0]
                     gaps = ref[0] - ref
                     assert dec.m == int(np.sum(gaps <= REL_TOL * ref[0]))
+                    top = dec.sigma[0]
+                    assert dec.m == np.count_nonzero(
+                        top - dec.sigma <= REL_TOL * top)
 
     def test_non_finite_entry_rejected(self):
         for bad in (np.nan, np.inf):

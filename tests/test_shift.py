@@ -5,13 +5,14 @@ import pytest
 
 from convlin.errors import ShapeError
 from convlin.models import ConvWeights
-from convlin.shift import shift_matrix, training_average
+from convlin.shift import _shift_index, shift_matrix, training_average
 from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from oracles import (
     DataPoint,
     conv_score_via_matrix,
     dense_points,
     forward,
+    shift_matrix_by_columns,
     signed_average_from_points,
     signed_shift_matrix,
 )
@@ -56,6 +57,47 @@ class TestShiftMatrix:
             shift_matrix(np.ones(3), 0)
         with pytest.raises(ShapeError):
             shift_matrix(np.ones((2, 2)), 1)
+
+
+def _awkward_vector(rng, d):
+    """A float vector mixing signed zeros, NaN, infinities, magnitudes
+    near 1e+-300 and ordinary values."""
+    pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e-300,
+                     5e-324, -1.7e308])
+    x = rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300, d)
+    pick = rng.random(d) < 0.4
+    x[pick] = rng.choice(pool, pick.sum())
+    return x
+
+
+class TestShiftGather:
+    """The one-gather shift matrix against the column loop, in bytes."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 50, 100, 120])
+    def test_equals_column_loop(self, d):
+        rng = np.random.default_rng(d)
+        for k in sorted({k for k in (1, 2, d // 2, d - 1, d) if 1 <= k <= d}):
+            for x in (_awkward_vector(rng, d), rng.standard_normal(d),
+                      np.bincount(rng.integers(0, d, 3 * d), minlength=d)):
+                A, ref = shift_matrix(x, k), shift_matrix_by_columns(x, k)
+                assert A.shape == ref.shape and A.dtype == ref.dtype
+                assert A.flags.c_contiguous and A.flags.writeable
+                assert A.tobytes() == ref.tobytes()
+
+    def test_index_is_read_only(self):
+        shift_matrix(np.ones(10), 4)
+        index = _shift_index(10, 4)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+
+    def test_result_is_a_copy(self):
+        x = np.arange(6.0)
+        A = shift_matrix(x, 3)
+        A[:] = -1.0
+        np.testing.assert_array_equal(x, np.arange(6.0))
+        np.testing.assert_array_equal(shift_matrix(x, 3),
+                                      shift_matrix_by_columns(x, 3))
 
 
 class TestSignedShiftMatrix:
