@@ -181,8 +181,7 @@ def asymptotic_error(aw, dataset):
 
 
 def asymptotic_error_for_trainset(whole, tr, k, rng=None,
-                                  degenerate_draws=DEFAULT_DEGENERATE_DRAWS,
-                                  mtr=None):
+                                  degenerate_draws=DEFAULT_DEGENERATE_DRAWS):
     """Limiting error for one training set.
 
     With a simple top singular value the error is evaluated directly on
@@ -191,14 +190,11 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
     standard-normal draws of w1(0), which is why an rng is required in
     that case.  The draws are one (draws, k) block, which advances the
     rng exactly as that many draws of size k would, and their limits
-    are scored as one block.  ``mtr`` is the training set's d x k
-    average when the caller has already built it.  Returns
-    ``(error, was_degenerate)``.
+    are scored as one block.  Returns ``(error, was_degenerate)``.
     """
     if degenerate_draws < 1:
         raise ValueError(f"degenerate_draws must be >= 1, got {degenerate_draws}")
-    if mtr is None:
-        mtr = training_average(tr, k)
+    mtr = training_average(tr, k)
     dec = thin_svd(mtr)
     if dec.m == 1:
         return asymptotic_error(_top_pair_weights(dec), whole), False

@@ -211,8 +211,7 @@ def estimate_per_set(whole, n, k, trials, rng, degenerate_draws=64):
         else:
             raise NumericalError("training average cancelled to zero repeatedly")
         errors[i], was_degenerate = asymptotic_error_for_trainset(
-            whole, tr, k, rng=child, degenerate_draws=degenerate_draws,
-            mtr=mtr)
+            whole, tr, k, rng=child, degenerate_draws=degenerate_draws)
         degenerate += was_degenerate
     stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return AsymptoticErrorEstimate(

@@ -128,6 +128,7 @@ class TestBlockedEstimator:
         (1000, 5, theory._HEAD, 300),
         (1000, 5, theory._HEAD + 1, 300),
         (2100, 5, 61, 100),  # pairs rare among the head
+        (100, 5, 100, 10_000),  # the bench's shape: few rows reach the tail
     ])
     def test_rows_decided_past_head_match_oneshot(self, d, k, n, trials):
         """Rows with no pair among their first `_HEAD` positions are
@@ -139,6 +140,20 @@ class TestBlockedEstimator:
                        and has_adjacent_pair(row, k, d) for row in pos)
         self.assert_matches_oneshot(d, n, trials, k)
 
+    @pytest.mark.parametrize("d", [2, 7, 100, 2100, 2 ** 31 - 2])
+    @pytest.mark.parametrize("size", [(1, 7), (1, 8), (5, 33), (4, 10), (642, 10)])
+    def test_int32_draw_equals_int64_draw(self, d, size):
+        """The estimator draws its positions as int32 to write half the
+        bytes; below 2**32 both dtypes take numpy's 32-bit bounded path,
+        so the values and the generator state left behind are those of
+        the default int64 draw, for odd and even counts alike."""
+        for seed in (65, 66):
+            narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = narrow.integers(1, d + 1, size, dtype=np.int32)
+            why = "numpy no longer draws int32 like int64; the estimator must draw int64"
+            assert np.array_equal(got, wide.integers(1, d + 1, size)), why
+            assert narrow.bit_generator.state == wide.bit_generator.state, why
+
     def test_one_row_blocks_match_oneshot(self, monkeypatch):
         """One row per block where the estimate is far from 0 and 1."""
         monkeypatch.setattr(theory, "DRAW_BLOCK_ELEMENTS", 64)
@@ -146,7 +161,7 @@ class TestBlockedEstimator:
 
     def test_memory_independent_of_trials_and_n(self):
         """One draw of all 10^4 x 500 positions takes 40 MB; a block
-        holds at most 512 KB of them."""
+        holds at most 256 KB of them."""
         rng = np.random.default_rng(63)
         tracemalloc.start()
         try:
@@ -374,6 +389,23 @@ class TestDecompositionReport:
                 prob_no_adjacent_pair_exact(100, 5, n)
             assert rep.piece_ratio == pytest.approx(
                 rep.prob_no_adjacent_pair_exact / rep.coverage_approx, rel=1e-13)
+
+    @pytest.mark.parametrize("d, k, n", [(100, 5, 10), (100, 5, 400), (60, 1, 25)])
+    def test_counts_draws_once(self, d, k, n, monkeypatch):
+        """One exact count serves both quotients, each equal to the
+        quotient of integers it stands for."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return count_draws_without_adjacent_pair(*args)
+
+        monkeypatch.setattr(theory, "count_draws_without_adjacent_pair", counting)
+        rep = decomposition_report(d, k, n, 200, np.random.default_rng(56))
+        assert calls == [(d, k, n)]
+        count = count_draws_without_adjacent_pair(d, k, n)
+        assert rep.prob_no_adjacent_pair_exact == count / d ** n
+        assert rep.piece_ratio == 2 * count / (d - 2 * k + 1) ** n
 
     def test_ratio_outside_doubles_refused(self):
         """At d = 2k - 1 the interior approximation is exactly zero for
