@@ -174,9 +174,19 @@ def _degenerate_error(whole, mtr, k, rng, draws):
     return float(np.cumsum(errors)[-1]) / draws
 
 
+def _unit_scaled(w):
+    """w times the power of two that brings its max-abs into [0.5, 1):
+    an exact scaling, the identity on a zero w."""
+    return np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+
+
 def asymptotic_error(aw, dataset):
     """Whole-dataset error of asymptotic weights, with margins within
-    roundoff of zero scored as ties (half credit)."""
+    roundoff of zero scored as ties (half credit).  A limit's scale is
+    arbitrary, so each layer is scaled by a power of two first: the
+    error is that at any ordinary scale, bit for bit, and a tiny init's
+    effective weights do not underflow to a tie."""
+    aw = AsymptoticWeights(w1=_unit_scaled(aw.w1), w2=_unit_scaled(aw.w2), m=aw.m)
     return float(_limit_errors(*_limit_row(aw), dataset))
 
 

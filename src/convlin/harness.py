@@ -370,7 +370,7 @@ def run_init_study(spec):
 
     def summary(n):
         arr = np.asarray(pairs)
-        if arr[:, 0].std() == 0.0 or arr[:, 1].std() == 0.0:
+        if (arr == arr[0]).all(axis=0).any():  # a side with equal values
             r = 0.0
         else:
             r = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])

@@ -208,6 +208,19 @@ class TestAsymptoticMargins:
         b = asymptotic_error(asymptotic_weights(4.0 * w0, mtr), cls100)
         assert a == b
 
+    @pytest.mark.parametrize("b", [1e-162, 1e-200, 1e-300])
+    def test_tiny_init_is_not_a_tie(self, cls100, b):
+        """Effective weights of an init at scale b scale like b**2, and
+        below about 1e-161 they underflow; the error is still that of
+        the same init at scale 1, on a simple and a degenerate set."""
+        w0 = np.random.default_rng(9).standard_normal(5)
+        for tr in (sample_training_set(cls100, 20, np.random.default_rng(8)),
+                   sparse_training_set(100, 5, 9)):
+            mtr = training_average(tr, 5)
+            want = asymptotic_error(asymptotic_weights(w0, mtr), cls100)
+            assert want != 0.5
+            assert asymptotic_error(asymptotic_weights(b * w0, mtr), cls100) == want
+
 
 class TestTrainsetError:
     def test_simple_top_value_ignores_init(self, cls100):

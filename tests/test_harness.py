@@ -308,6 +308,18 @@ class TestInitStudy:
         snaps = [r for r in result.rows if r.aux_key == "snapshot_acc_t30"]
         assert len(snaps) == 5
 
+    def test_constant_side_writes_zero(self):
+        """At b = 1e-100 every hinge run reaches accuracy 0.99, whose
+        three copies have a standard deviation of about 1e-16, not 0:
+        the side is constant because its values are equal, and r is
+        written as 0.0."""
+        spec = ExperimentSpec(experiment="init-study", d=100, k=5, n=(30,),
+                              trials=3, b=1e-100)
+        result = run(spec)
+        hinge = result.extras["pairs"][:, 1]
+        assert (hinge == hinge[0]).all() and hinge.std() != 0.0
+        assert result.extras["pearson_r"] == 0.0
+
 
 class TestAnalysisCurves:
     def test_keys_and_consistency(self):
@@ -350,6 +362,21 @@ class TestProp1Check:
         gap = abs(extras["conv_mean"] - extras["onelayer_mean"])
         se = math.hypot(extras["conv_se"], extras["onelayer_se"])
         assert gap <= 3.0 * se
+
+
+@pytest.mark.parametrize("b", [1e-162, 1e-200, 1e-300])
+def test_prop1_limits_at_tiny_init_scales(b):
+    """A limit's classification does not depend on the scale of w1(0),
+    so the asym rows at a tiny b are those at b = 0.1 with the same
+    seed, not ties scored 0.5."""
+    def asym(b):
+        spec = ExperimentSpec(experiment="prop1-check", d=100, k=5, n=(9,),
+                              trials=3, b=b, seed=0)
+        return [r.test_error for r in run(spec).rows if r.loss == "asym"]
+
+    want = asym(0.1)
+    assert want != [0.5] * 3
+    assert asym(b) == want
 
 
 class TestParityCurve:

@@ -18,6 +18,7 @@ from convlin.errors import ConfigError, NumericalError
 from convlin.models import (
     DEFAULT_ALPHA,
     RENORM_THRESHOLD,
+    SMALL_KERNEL,
     TRACE_COLUMNS,
     ConvWeights,
     FCWeights,
@@ -152,6 +153,95 @@ class TestConvCollapse:
                 w1, w2 = special_weights(rng, k), special_weights(rng, d)
                 want = convolve_collapse(w1, w2)
                 assert conv_collapse(w1, w2).tobytes() == want.tobytes()
+
+
+def assert_same_bits_but_nan(got, want):
+    """Equal bit for bit, zero signs included, with NaN in the same
+    places; which NaN each is may differ."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+STACK_SHAPES = [(d, k) for k in range(1, 21) for d in sorted({k, 30, 100})]
+
+
+class TestStackedCollapse:
+    """A (rows, k) and (rows, d) stack collapses to the rows np.correlate
+    gives one pair at a time, on both sides of numpy's small-kernel
+    boundary."""
+
+    @pytest.mark.parametrize("d,k", STACK_SHAPES)
+    def test_matches_correlate_per_row(self, d, k):
+        rng = np.random.default_rng(d * 100 + k + 2)
+        for rows in (1, 16, 81):
+            for special in (False, True):
+                # The layers are views of one [w1 | w2] block, as in a
+                # trained block of extreme-hinge steps.
+                block = (special_weights(rng, (rows, k + d)) if special
+                         else rng.standard_normal((rows, k + d)))
+                w1s, w2s = block[:, :k], block[:, k:]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.array([np.correlate(b, a[::-1], "full")[:d]
+                                     for a, b in zip(w1s, w2s)])
+                got = conv_collapse(w1s, w2s)
+                assert got.shape == (rows, d)
+                assert_same_bits_but_nan(got, want)
+                assert_same_bits_but_nan(conv_collapse(w1s.copy(), w2s.copy()), want)
+
+    def test_zero_sums_are_positive(self):
+        """np.correlate starts every sum from +0.0, so a sum of -0.0
+        products is +0.0, and so it is in a stack, at either kernel
+        size."""
+        for k in (5, 20):
+            w1s = np.tile(np.where(np.arange(k) % 2, 1.0, -1.0), (40, 1))
+            w2s = np.zeros((40, 100))
+            got = conv_collapse(w1s, w2s)
+            assert np.signbit(w1s[:, None, :] * w2s[:, :, None]).any()
+            assert not np.signbit(got).any()
+            want = np.array([np.correlate(b, a[::-1], "full")[:100]
+                             for a, b in zip(w1s, w2s)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_warns_of_nothing(self):
+        """Like np.correlate, a stacked collapse warns of no overflow or
+        invalid product, at either kernel size."""
+        for k in (5, 20):
+            w1s = np.full((40, k), 1e300)
+            w2s = np.full((40, 100), np.inf)
+            w2s[:, 50:] = 1e300
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = conv_collapse(w1s, w2s)
+            assert np.isinf(got).all()
+
+    @pytest.mark.parametrize("k", [5, 20])
+    def test_empty_stack(self, k):
+        assert conv_collapse(np.empty((0, k)), np.empty((0, 100))).shape == (0, 100)
+
+
+def test_numpy_small_kernel_boundary():
+    """numpy's correlate adds the products of a kernel of at most
+    SMALL_KERNEL taps in ascending tap order from +0.0, and takes a BLAS
+    dot per entry past it.  The stacked `conv_collapse` relies on both."""
+    rng = np.random.default_rng(12)
+
+    def differing(k):
+        count = 0
+        for _ in range(500):
+            w2, v = rng.standard_normal(99 + k), rng.standard_normal(k)
+            sums = np.zeros(100)
+            for n in range(k):
+                sums = sums + w2[n : n + 100] * v[n]
+            count += int((sums != np.correlate(w2, v, "valid")).sum())
+        return count
+
+    assert differing(SMALL_KERNEL) == 0, (
+        f"numpy's correlate no longer sums a {SMALL_KERNEL}-tap kernel in "
+        f"ascending tap order: models.SMALL_KERNEL has moved")
+    assert differing(SMALL_KERNEL + 1) > 0, (
+        f"numpy's correlate sums a {SMALL_KERNEL + 1}-tap kernel in ascending "
+        f"tap order: models.SMALL_KERNEL has moved")
 
 
 class TestErrorRule:
