@@ -17,33 +17,39 @@ always simultaneous: both gradients are evaluated at the old weights.
 
 Every dataset is scored through its signed sparse design,
 `Dataset.signed`: the positions and the y * x values of each point's
-nonzeros, built once per dataset.  `margins` reads it, and one counter,
+nonzeros, built once per dataset, or through that design's distinct
+columns, `Dataset.distinct`, with the number of points that share each
+column and each point's column index.  A whole cls set has 2d points
+and d distinct columns, and a drawn cls set of any size at most d, as
+every y * x is some e_l.  `train` and `classification_error` read the
+distinct columns, `margins` every point, and one counter,
 `error_from_margins`, gives every error: those of the training loop, of
 `classification_error` and of the limiting classifier.
 
 One loop in `train` runs every model and loss, and each supplies only
 its update.  The loop holds the current margins of the training set's
-design.  A hinge run stops at a zero loss or at the step budget, an
-extreme-hinge run at the step budget.  Until then the loop calls the
-update with the active set, and the update advances the weights and
-returns the effective weight vectors c and the margins of the J >= 1
-steps it took, as (J, d) and (J, n) arrays, with the weights after each
-of those steps, which the loop copies only to record them.  The loop
-scores the steps in batches of rows: the losses as row sums, the errors
-as row sums of signs, the eval errors from one gather of the stacked c
-on the eval set's distinct columns (`Dataset.distinct`: a whole cls set
-has 2d points and d distinct columns) and one product of their signs
-with the column counts, and it raises at the first step whose loss is
-not finite.
+u distinct columns.  A hinge run stops at a zero loss or at the step
+budget, an extreme-hinge run at the step budget.  Until then the loop
+calls the update with the active set, and the update advances the
+weights and returns the effective weight vectors c and the margins of
+the J >= 1 steps it took, as (J, d) and (J, u) arrays, with the weights
+after each of those steps, which the loop copies only to record them.
+The loop scores the steps in batches of rows: the losses as row sums of
+the per-point losses, which one take through the column index expands
+from the columns, the errors as one product of the signs with the
+column counts, the eval errors from one gather of the stacked c on the
+eval set's distinct columns and the same product with its counts, and
+it raises at the first step whose loss is not finite.
 
 Conv and fc hinge updates take one step per call.  The active sum s is
-one bincount.  For conv, the output gradient adds the shifted copies of
-s, read as a window view of a zero-padded buffer, one lag after
-another, and the filter gradient takes one BLAS dot per lag.  The
+one bincount of the active columns' y * x times their counts, a product
+made once per run.  For conv, the output gradient adds the shifted
+copies of s, read as a window view of a zero-padded buffer, one lag
+after another, and the filter gradient takes one BLAS dot per lag.  The
 one-layer update takes a block of steps.
 While the active set stays the same, every step adds the same
 v = (alpha / n) s to w, so the weights of J steps are one cumulative sum
-down the rows [w + v; v; ...; v], and their margins one (J, N) gather.
+down the rows [w + v; v; ...; v], and their margins one (J, u) gather.
 The block ends at the first row whose active set differs.  J comes from
 each margin's predicted crossing of 1, as the margins move linearly with
 the step count; the prediction only sets how much is computed, and the
@@ -81,9 +87,13 @@ k, an entry is one BLAS dot, and a stacked (1, n) @ (n, 1) matmul makes
 that same call.
 
 The result is bit for bit that of the per-point, per-lag loop kept as
-the oracle in the tests.  Every y * x entry is +-1, so s is an integer
-vector and exact in any summation order, and a margin is the same sum of
-at most two signed entries of c.  The error sums are exact integers.
+the oracle in the tests.  Every y * x entry is +-1 and every count an
+integer, so s is an integer vector and exact in any summation order.  A
+point's margin is the sum of the same at most two signed entries of c,
+added in the same slot order, as its column's, so it is its column's
+margin bit for bit, and the active set, the crossing prediction and the
+change test of a one-layer block see the same values as on every point.
+The error sums are exact integers.
 Each lag dot is the same BLAS call on the same d - j entries.  A single
 zero-padded dot of length d per lag would not be exact: BLAS splits a
 length-d dot into blocks differently from a length d - j one.  A
@@ -92,12 +102,15 @@ each row is the repeated in-place w += v.  An xhinge row takes the same
 products, the same rescale and the same collapse of the same vectors
 as a single step (each entry takes the same product, scale and add),
 and a row inside a growth window is one that no rescale could touch.
-The batched losses are exact because the margins array is C-ordered:
-the row sums then run along contiguous rows, each the pairwise sum of
-one 1-D margin vector.  The row sums of a Fortran-ordered array would
-add its columns one after another, a sequential sum.  An eval error on the distinct columns is exact: the
-points that share a column have the same margin, and the weighted sum
-of signs is an integer, exact in any summation order.
+The batched losses are exact because the per-point loss array is
+C-ordered: take along the last axis builds a new C-ordered (rows, n)
+array of each point's loss in point order, so the row sums run along
+contiguous rows, each the pairwise sum of one 1-D vector of the values
+the per-point loop sums.  The row sums of a Fortran-ordered array would
+add its columns one after another, a sequential sum, and a sum of each
+column's loss times its count rounds differently again.  An error on
+the distinct columns is exact: the weighted sum of signs is an integer,
+exact in any summation order.
 """
 
 import math
@@ -334,8 +347,12 @@ def error_from_margins(m, zero_tol=None, counts=None):
 
 
 def classification_error(weights, dataset):
-    """Mean error of a model over a dataset (ties count half)."""
-    return float(error_from_margins(margins(weights, dataset)))
+    """Mean error of a model over a dataset (ties count half), counted
+    over the dataset's distinct columns."""
+    design, counts, _ = dataset.distinct
+    with np.errstate(over="ignore"):
+        m = _design_margins(effective_weights(weights), design)
+    return float(error_from_margins(m, counts=counts))
 
 
 def init_weights(model, d, k, config, rng):
@@ -365,12 +382,13 @@ def init_weights(model, d, k, config, rng):
     return FCWeights(W1=draw(s1, (d, d)), w2=draw(s2, (d,)))
 
 
-def _active_sum(act, design, d):
-    """The sum s of y * x over the active points, as a dense d-vector.
-    Every y * x entry is +-1, so s is an integer vector, the same in any
-    summation order."""
-    positions, yx = design
-    return np.bincount(positions.ravel(), weights=(yx * act).ravel(),
+def _active_sum(act, weighted, d):
+    """The sum s of y * x over the active points, as a dense d-vector,
+    from the distinct columns ``weighted``, whose y * x values are
+    multiplied by their counts.  Every weight is an integer, so s is an
+    integer vector, the same in any summation order."""
+    positions, cyx = weighted
+    return np.bincount(positions.ravel(), weights=(cyx * act).ravel(),
                        minlength=d)
 
 
@@ -380,11 +398,12 @@ def _diverged(model, config, what):
 
 
 # Cap on rows x width of the arrays that hold and score a batch of steps,
-# width being the largest of n, d and the eval set's number of distinct
-# signed columns (an xhinge block's rows are k + d wide).  glibc malloc
-# trims a free heap top past its threshold (128 KB by default), so what a
-# batch frees is faulted back in by the next: 64 KB arrays take a third of
-# the page faults of 128 KB ones (1 << 14) and run faster.
+# width being the largest of n (the per-point losses a batch expands to),
+# d and the eval set's number of distinct signed columns (an xhinge
+# block's rows are k + d wide).  glibc malloc trims a free heap top past
+# its threshold (128 KB by default), so what a batch frees is faulted back
+# in by the next: 64 KB arrays take a third of the page faults of 128 KB
+# ones (1 << 14) and run faster.
 BLOCK_ELEMENTS = 1 << 13
 
 
@@ -400,15 +419,17 @@ def _state(weights, design):
 # the margins m and returns the effective weights and margins of the
 # steps it took, at most ``steps`` of them (see the module docstring),
 # and the weights after each of those steps, which the loop copies to
-# record them before the next update.  A hinge step adds ``scale`` =
-# alpha / n times the gradient.
+# record them before the next update.  The margins are those of the
+# training set's distinct columns, ``design``; a hinge update sums the
+# active ones through their count-weighted copy, ``weighted``, and a
+# hinge step adds ``scale`` = alpha / n times the gradient.
 
-def _linear_hinge(weights, design, scale):
+def _linear_hinge(weights, design, weighted, scale):
     d = weights.w.shape[0]
 
     def update(m, act, steps):
         # Each step adds the same v while the active set stays that of m.
-        v = scale * _active_sum(act, design, d)
+        v = scale * _active_sum(act, weighted, d)
         states = (weights.w + v)[None]
         margins = _design_margins(states, design)
         if steps > 1 and not ((margins[0] < 1.0) != act).any():
@@ -432,7 +453,7 @@ def _linear_hinge(weights, design, scale):
     return update
 
 
-def _conv_hinge(weights, design, scale):
+def _conv_hinge(weights, design, weighted, scale):
     d, kw = weights.w2.shape[0], weights.w1.shape[0]
     # The active sum s sits in a buffer padded with kw - 1 zeros, so row j
     # of the (kw, d) window view is s shifted by j lags.
@@ -445,7 +466,7 @@ def _conv_hinge(weights, design, scale):
     w2_heads = [weights.w2[: d - j] for j in range(kw)]
 
     def update(m, act, steps):
-        s_pad[:d] = _active_sum(act, design, d)
+        s_pad[:d] = _active_sum(act, weighted, d)
         g1 = np.fromiter(map(np.ndarray.dot, s_tails, w2_heads), float, kw)
         g2 = (weights.w1[:, None] * shifted).sum(axis=0)
         weights.w1 += scale * g1
@@ -455,11 +476,11 @@ def _conv_hinge(weights, design, scale):
     return update
 
 
-def _fc_hinge(weights, design, scale):
+def _fc_hinge(weights, design, weighted, scale):
     d = weights.w2.shape[0]
 
     def update(m, act, steps):
-        s = _active_sum(act, design, d)
+        s = _active_sum(act, weighted, d)
         g_W1 = np.outer(weights.w2, s)
         g_w2 = weights.W1 @ s
         weights.W1 += scale * g_W1
@@ -546,13 +567,15 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
         raise ConfigError("extreme-hinge training is defined for the conv model")
     weights = initial.copy() if initial is not None else init_weights(
         model, tr.d, k, config, rng)
-    design = tr.signed
-    # The eval errors are counted over the eval set's distinct signed columns.
-    eval_design, eval_counts = (None, None) if eval_set is None else eval_set.distinct
+    # The training set is held on its distinct signed columns, and so are
+    # the eval set's errors counted.
+    design, counts, inverse = tr.distinct
+    eval_design, eval_counts, _ = (None,) * 3 if eval_set is None else eval_set.distinct
     n, d = len(tr), tr.d
     rescales = []
     if config.loss == "hinge":
-        update = _HINGE_UPDATES[model](weights, design, config.alpha / n)
+        weighted = design[0], design[1] * counts
+        update = _HINGE_UPDATES[model](weights, design, weighted, config.alpha / n)
     else:
         update = _conv_xhinge(weights, design, config.alpha, tr, rescales)
     width = max(n, d, 0 if eval_design is None else eval_design[1].shape[1])
@@ -571,13 +594,15 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
             np.maximum(h, 0.0, out=h)
         else:
             h = -m
-        loss = h.sum(axis=1) / n
+        # Each point's loss, in point order: the row sums are those of the
+        # per-point array (see the module docstring).
+        loss = h.take(inverse, axis=1).sum(axis=1) / n
         finite = np.isfinite(loss)
         if not finite.all():
             step = sum(map(len, losses)) + int(finite.argmin())
             raise _diverged(model, config, f"the loss at step {step} is not finite")
         losses.append(loss)
-        terrs.append(error_from_margins(m))
+        terrs.append(error_from_margins(m, counts=counts))
         if eval_design is not None:
             eerrs.append(error_from_margins(_design_margins(c, eval_design),
                                             counts=eval_counts))

@@ -32,7 +32,10 @@ class Dataset:
     arrays (m = 1 or 2 nonzeros per point, 0-based positions), and ``y``
     holds the labels.  Every margin and error is read from the cached
     signed design, `signed`, or from its distinct columns, `distinct`,
-    and every tie tolerance from the cached per-point `mass`.
+    and every tie tolerance from the cached per-point `mass`.  Training
+    and every error without a tie tolerance read the distinct columns,
+    and a value needed per point, such as a loss, is expanded through
+    the column index that `distinct` gives each point.
     """
 
     task: str
@@ -53,14 +56,17 @@ class Dataset:
     @cached_property
     def distinct(self):
         """The distinct columns of the signed design, in the layout of
-        `signed`, and a float count of the points that share each.  The
-        points of a cls set share their columns in pairs."""
+        `signed`, a float count of the points that share each, and the
+        (N,) index of each point's column, so that ``yx[:, inverse]`` is
+        the signed design itself.  The points of a cls set share their
+        columns in pairs, and a drawn set repeats its points."""
         positions, yx = self.signed
-        columns, counts = np.unique(np.concatenate((positions, yx)), axis=1,
-                                    return_counts=True)
+        columns, inverse, counts = np.unique(np.concatenate((positions, yx)), axis=1,
+                                             return_inverse=True, return_counts=True)
         m = positions.shape[0]
+        # numpy 2.0.0 alone gives this inverse a leading axis of length 1.
         return ((columns[:m].astype(np.intp, order="C"), columns[m:].copy()),
-                counts.astype(float))
+                counts.astype(float), inverse.reshape(-1))
 
     @cached_property
     def mass(self):

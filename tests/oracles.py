@@ -11,7 +11,8 @@ limit estimate one training set at a time, the shift matrix one column
 at a time, and training one step at a time with the conv gradients one
 lag at a time.  The package itself stores only each dataset's nonzeros,
 computes these through effective weights and the signed sparse design,
-counts a whole dataset's errors over its distinct columns, scores a
+trains on a training set's distinct columns and counts every error but
+the limit's tie-tolerant one over distinct columns, scores a
 degenerate set's draws and an estimate's simple sets in blocks, and
 gathers a shift matrix through one index.  The traces sidecar
 is written here row by row through csv.writer.  A separating weight

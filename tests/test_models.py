@@ -290,7 +290,7 @@ class TestErrorRule:
         rng = np.random.default_rng(d)
         whole = whole_dataset(task, d)
         for data in (whole, sample_training_set(whole, 3 * d, rng)):
-            design, counts = data.distinct
+            design, counts, _ = data.distinct
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                 for _ in range(20):
                     c = special_weights(rng, (50, d))
@@ -712,6 +712,40 @@ class TestScalarOracle:
         want = scalar_train(model, tr, cfg, np.random.default_rng(12), k=5,
                             eval_set=eval_set, record_weights=True)
         got = train(model, tr, cfg, np.random.default_rng(12), k=5,
+                    eval_set=eval_set, record_weights=True)
+        assert_same_trace(got, want)
+
+    @staticmethod
+    def _repeating_set(kind):
+        """A training set whose points share columns heavily, or not at
+        all, with its whole dataset: 50 copies of one cls point; 1000
+        draws of cls at d = 20, about 50 per column; 300 draws of
+        3rdctrl at d = 20, on 205 columns, 131 of them of one point."""
+        if kind == "one-point":
+            whole = whole_dataset("cls", 20)
+            idx = [13] * 50
+            tr = Dataset(task="cls", d=20, positions=whole.positions[idx],
+                         values=whole.values[idx], y=whole.y[idx])
+            return tr, whole
+        task, n = ("cls", 1000) if kind == "cls" else ("3rdctrl", 300)
+        whole = whole_dataset(task, 20)
+        return sample_training_set(whole, n, np.random.default_rng(n)), whole
+
+    @pytest.mark.parametrize("kind", ("one-point", "cls", "3rdctrl"))
+    @pytest.mark.parametrize("model,loss", ORACLE_RUNS)
+    @pytest.mark.parametrize("with_eval", (False, True))
+    def test_repeated_columns(self, kind, model, loss, with_eval):
+        """`train` holds a training set on its distinct columns and sums
+        each loss over every point, in point order: one column of 50
+        points, 20 columns of about 50 each, and 3rdctrl draws that
+        repeat only some points."""
+        tr, whole = self._repeating_set(kind)
+        cfg = (TrainConfig(loss="hinge", max_steps=2000) if loss == "hinge"
+               else TrainConfig(loss="xhinge", max_steps=150))
+        eval_set = whole if with_eval else None
+        want = scalar_train(model, tr, cfg, np.random.default_rng(3), k=3,
+                            eval_set=eval_set, record_weights=True)
+        got = train(model, tr, cfg, np.random.default_rng(3), k=3,
                     eval_set=eval_set, record_weights=True)
         assert_same_trace(got, want)
 

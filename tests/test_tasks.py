@@ -176,8 +176,9 @@ class TestDenseView:
 
 
 class TestDistinct:
-    """`Dataset.distinct`: the distinct columns of the signed design and
-    the number of points that share each."""
+    """`Dataset.distinct`: the distinct columns of the signed design, the
+    number of points that share each and the index of each point's
+    column."""
 
     @staticmethod
     def _columns(design):
@@ -195,7 +196,7 @@ class TestDistinct:
 
     def test_counts_cover_every_point_once(self):
         for ds in self._sets():
-            (positions, yx), counts = ds.distinct
+            (positions, yx), counts, _ = ds.distinct
             assert counts.dtype == float and counts.sum() == len(ds)
             assert positions.dtype == np.intp and positions.shape == yx.shape
             assert positions.flags.c_contiguous and yx.flags.c_contiguous
@@ -206,10 +207,28 @@ class TestDistinct:
                 shared[column] += 1  # a KeyError is a column with no match
             assert list(shared.values()) == counts.tolist()
 
+    def test_inverse_rebuilds_the_signed_design(self):
+        """Each point's column index gathers the signed design back bit
+        for bit and counts each column's points: on every set above, on
+        one point drawn 40 times (one column) and on a whole 3rdctrl set
+        (a column per point)."""
+        cls = whole_dataset("cls", 10)
+        one = Dataset(task="cls", d=10, positions=cls.positions[[7] * 40],
+                      values=cls.values[[7] * 40], y=cls.y[[7] * 40])
+        third = whole_dataset("3rdctrl", 12)
+        for ds in (*self._sets(), one, third):
+            (positions, yx), counts, inverse = ds.distinct
+            assert inverse.shape == (len(ds),) and inverse.dtype == np.intp
+            for got, want in zip((positions[:, inverse], yx[:, inverse]), ds.signed):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(np.bincount(inverse), counts)
+        assert one.distinct[1].tolist() == [40.0]
+        assert third.distinct[1].shape == (len(third),)
+
     def test_cls_points_share_columns_in_pairs(self):
         """+e_l labelled +1 and -e_l labelled -1 have the same signed
         column; the other tasks have none in common."""
-        (positions, yx), counts = whole_dataset("cls", 100).distinct
+        (positions, yx), counts, _ = whole_dataset("cls", 100).distinct
         np.testing.assert_array_equal(positions, np.arange(100)[None])
         np.testing.assert_array_equal(yx, np.ones((1, 100)))
         np.testing.assert_array_equal(counts, np.full(100, 2.0))
