@@ -131,8 +131,9 @@ def main(argv=None):
             sys.stdout.write(text)
         else:
             print(f"wrote {len(result.rows)} rows to {spec.out}")
-            if "pearson_r" in result.extras:
-                print(f"pearson_r = {result.extras['pearson_r']:.4f}")
+            for row in result.rows:
+                if row.aux_key == "pearson_r":
+                    print(f"pearson_r = {float(row.aux_value):.4f}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

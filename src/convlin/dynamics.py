@@ -190,15 +190,15 @@ def asymptotic_error(aw, dataset):
     return float(_limit_errors(*_limit_row(aw), dataset))
 
 
-def asymptotic_error_for_trainset(whole, tr, k, rng=None,
+def asymptotic_error_for_trainset(whole, tr, k, rng,
                                   degenerate_draws=DEFAULT_DEGENERATE_DRAWS):
     """Limiting error for one training set.
 
     With a simple top singular value the error is evaluated directly on
     the sign-fixed top pair (the init drops out).  A degenerate top
     value falls back to the mean error over ``degenerate_draws``
-    standard-normal draws of w1(0), which is why an rng is required in
-    that case.  The draws are one (draws, k) block, which advances the
+    standard-normal draws of w1(0) from ``rng``, the only case that
+    reads it.  The draws are one (draws, k) block, which advances the
     rng exactly as that many draws of size k would, and their limits
     are scored as one block.  Returns ``(error, was_degenerate)``.
     """
@@ -208,8 +208,6 @@ def asymptotic_error_for_trainset(whole, tr, k, rng=None,
     dec = thin_svd(mtr)
     if dec.m == 1:
         return asymptotic_error(_top_pair_weights(dec), whole), False
-    if rng is None:
-        raise ValueError("degenerate top pair needs an rng for the fallback")
     return _degenerate_error(whole, mtr, k, rng, degenerate_draws), True
 
 

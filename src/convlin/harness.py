@@ -2,14 +2,15 @@
 
 Every experiment runs through one driver, `_drive`: for each training
 size n and each trial it derives one seed from (base seed, experiment,
-n, trial), hands the trial's rng to the experiment's per-trial
-function, and stamps the coordinates on the rows that function yields,
-dumping each trained run's weights under --dump-weights.  Rows follow a
-fixed CSV schema.  Because every trial owns its seed, reruns with the
-same spec are bit-identical regardless of how trials are scheduled, and
-any single row can be reproduced from the seed stored in it.  Summary
-rows sit at trial index ``trials``, whose seed init-study also uses to
-draw its training set.
+n, trial), hands the trial's rng to the experiment's per-trial function,
+and stamps the coordinates on the rows that function yields, dumping
+each trained run's weights under --dump-weights.  A trial draws its
+training set and every init before its first `train` call.  Rows follow
+a fixed CSV schema and hold a run's only summaries.  Because every trial
+owns its seed, reruns with the same spec are bit-identical regardless of
+how trials are scheduled, and any single row can be reproduced from the
+seed stored in it.  Summary rows sit at trial index ``trials``, whose
+seed init-study also uses to draw its training set.
 
 Each experiment's facts are one `Experiment` record in `EXPERIMENTS`,
 the table that `run` dispatches through.
@@ -204,7 +205,6 @@ class ResultRow:
 class RunResult:
     spec: ExperimentSpec
     rows: list
-    extras: dict = field(default_factory=dict)
     traces: list = field(default_factory=list)
     weights_dump: dict = field(default_factory=dict)
 
@@ -259,7 +259,7 @@ def _trained(model, loss, trace, test_error, **aux):
     return fields, trace.weights
 
 
-def _drive(spec, per_trial, summary=None, trials=None, **state):
+def _drive(spec, per_trial, summary=None, trials=None, traces=None):
     """The one (n, trial) loop behind every experiment.
 
     For each n of the spec and each trial (``spec.trials`` unless
@@ -269,10 +269,10 @@ def _drive(spec, per_trial, summary=None, trials=None, **state):
     weights (None for a row without a trained run).  The driver stamps
     the coordinates on each row and, under --dump-weights, dumps the
     weights.  After the trials of an n, ``summary(n)`` yields the same
-    pairs for rows stamped at trial index ``spec.trials``.  ``state``
-    (extras, traces) is handed to the RunResult.
+    pairs for rows stamped at trial index ``spec.trials``.  ``traces``
+    (trial, loss, trace triples the trials fill) goes to the RunResult.
     """
-    result = RunResult(spec=spec, rows=[], **state)
+    result = RunResult(spec=spec, rows=[], traces=[] if traces is None else traces)
 
     def emit(n, trial, seed, pairs):
         for fields, weights in pairs:
@@ -302,8 +302,10 @@ def run_gen_curve(spec, filter_signs=False):
 
     def per_trial(n, trial, rng):
         tr = sample_training_set(whole, n, rng)
-        for model in spec.models:
-            trace = train(model, tr, config, rng, k=spec.k)
+        inits = [models.init_weights(model, spec.d, spec.k, config, rng)
+                 for model in spec.models]
+        for model, w0 in zip(spec.models, inits):
+            trace = train(model, tr, config, w0)
             aux = {}
             if filter_signs and model == "conv":
                 aux = dict(aux_key="filter_signs",
@@ -323,12 +325,13 @@ def run_asym_vs_losses(spec):
     def per_trial(n, trial, rng):
         tr = sample_training_set(whole, n, rng)
         err, degenerate = dynamics.asymptotic_error_for_trainset(
-            whole, tr, spec.k, rng=rng)
+            whole, tr, spec.k, rng)
+        inits = [models.init_weights("conv", spec.d, spec.k, c, rng) for c in configs]
         yield dict(model="conv", loss="asym", stop_reason="estimate",
                    test_error=err, aux_key="m_degenerate",
                    aux_value=str(int(degenerate))), None
-        for config in configs:
-            trace = train("conv", tr, config, rng, k=spec.k)
+        for config, w0 in zip(configs, inits):
+            trace = train("conv", tr, config, w0)
             yield _trained("conv", config.loss, trace,
                            models.classification_error(trace.weights, whole))
 
@@ -353,13 +356,12 @@ def run_init_study(spec):
     hinge = TrainConfig(loss="hinge", alpha=spec.alpha, b=spec.b,
                         init="uniform", max_steps=spec.max_steps)
     xhinge = _xhinge_config(spec)
-    pairs, traces, extras = [], [], {}
+    pairs, traces = [], []
 
     def per_trial(n, trial, rng):
         w0 = models.init_weights("conv", spec.d, spec.k, hinge, rng)
-        hg = train("conv", tr, hinge, rng, k=spec.k, eval_set=whole, initial=w0)
-        xh = train("conv", tr, xhinge, rng, k=spec.k,
-                   eval_set=whole, initial=w0)
+        hg = train("conv", tr, hinge, w0, eval_set=whole)
+        xh = train("conv", tr, xhinge, w0, eval_set=whole)
         snap_acc = 1.0 - xh.test_error[snap]
         pairs.append((snap_acc, 1.0 - hg.test_error[-1]))
         traces.extend([(trial, "hinge", hg), (trial, "xhinge", xh)])
@@ -374,11 +376,10 @@ def run_init_study(spec):
             r = 0.0
         else:
             r = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
-        extras.update(pearson_r=r, pairs=arr)
         yield dict(model="conv", loss="summary", aux_key="pearson_r",
                    aux_value=repr(r)), None
 
-    return _drive(spec, per_trial, summary, extras=extras, traces=traces)
+    return _drive(spec, per_trial, summary, traces=traces)
 
 
 def run_analysis_curves(spec):
@@ -387,11 +388,9 @@ def run_analysis_curves(spec):
     ``spec.trials`` is the number of Monte-Carlo draws, so each n is a
     single trial 0.
     """
-    extras = {}
 
     def per_trial(n, trial, rng):
         report = theory.decomposition_report(spec.d, spec.k, n, spec.trials, rng)
-        extras[n] = report
         values = [
             ("err1", report.prob_no_adjacent_pair),
             ("err1_se", report.prob_stderr),
@@ -406,7 +405,7 @@ def run_analysis_curves(spec):
             yield dict(model="analysis", loss="", aux_key=key,
                        aux_value=repr(float(value))), None
 
-    return _drive(spec, per_trial, trials=1, extras=extras)
+    return _drive(spec, per_trial, trials=1)
 
 
 def run_prop1_check(spec):
@@ -418,27 +417,28 @@ def run_prop1_check(spec):
     gram = mtr.T @ mtr
     resid = float(np.max(np.abs(gram - np.eye(spec.k) / n)))
     hinge = _hinge_config(spec)
-    conv_errs, onel_errs, extras = [], [], {}
+    conv_errs, onel_errs = [], []
 
     def per_trial(n, trial, rng):
         aw = dynamics.asymptotic_weights(rng.normal(0.0, spec.b, size=spec.k), mtr)
+        w0 = models.init_weights("1layer", spec.d, spec.k, hinge, rng)
         conv_errs.append(dynamics.asymptotic_error(aw, whole))
         yield dict(model="conv", loss="asym", stop_reason="estimate",
                    test_error=conv_errs[-1], aux_key="m",
                    aux_value=str(aw.m)), None
-        trace = train("1layer", tr, hinge, rng)
+        trace = train("1layer", tr, hinge, w0)
         onel_errs.append(models.classification_error(trace.weights, whole))
         yield _trained("1layer", "hinge", trace, onel_errs[-1])
 
     def summary(n):
-        extras["gram_residual"] = resid
+        values = {"gram_residual": resid}
         for name, errs in (("conv", conv_errs), ("onelayer", onel_errs)):
-            extras[f"{name}_mean"], extras[f"{name}_se"] = _mean_se(errs)
-        for key, value in extras.items():
+            values[f"{name}_mean"], values[f"{name}_se"] = _mean_se(errs)
+        for key, value in values.items():
             yield dict(model="summary", loss="", aux_key=key,
                        aux_value=repr(float(value))), None
 
-    return _drive(spec, per_trial, summary, extras=extras)
+    return _drive(spec, per_trial, summary)
 
 
 # In CLI subcommand order.

@@ -26,10 +26,11 @@ distinct columns, `margins` every point, and one counter,
 `error_from_margins`, gives every error: those of the training loop, of
 `classification_error` and of the limiting classifier.
 
-One loop in `train` runs every model and loss, and each supplies only
-its update.  The loop holds the current margins of the training set's
-u distinct columns.  A hinge run stops at a zero loss or at the step
-budget, an extreme-hinge run at the step budget.  Until then the loop
+One loop in `train` runs every model and loss from the weights it is
+handed, drawing nothing, and each supplies only its update.  The loop
+holds the current margins of the training set's u distinct columns.
+A hinge run stops at a zero loss or at the step budget, an
+extreme-hinge run at the step budget.  Until then the loop
 calls the update with the active set, and the update advances the
 weights and returns the effective weight vectors c and the margins of
 the J >= 1 steps it took, as (J, d) and (J, u) arrays, with the weights
@@ -551,11 +552,10 @@ def _conv_xhinge(weights, design, alpha, tr, rescales):
 _HINGE_UPDATES = {"1layer": _linear_hinge, "conv": _conv_hinge, "fc": _fc_hinge}
 
 
-def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
-          record_weights=False):
-    """Full-batch gradient descent on a training set.
+def train(model, tr, config, initial, eval_set=None, record_weights=False):
+    """Full-batch gradient descent on a training set from the weights
+    ``initial`` (copied, never mutated); training draws nothing.
 
-    ``initial`` overrides the drawn init (it is copied, never mutated).
     With ``eval_set`` given, the whole-dataset error is recorded every
     step.  Returns a TrainTrace.  A hinge run stops at a zero training
     loss ("loss-zero") or else after ``max_steps`` ("step-budget"); an
@@ -565,8 +565,7 @@ def train(model, tr, config, rng, k=None, eval_set=None, initial=None,
     """
     if config.loss == "xhinge" and model != "conv":
         raise ConfigError("extreme-hinge training is defined for the conv model")
-    weights = initial.copy() if initial is not None else init_weights(
-        model, tr.d, k, config, rng)
+    weights = initial.copy()
     # The training set is held on its distinct signed columns, and so are
     # the eval set's errors counted.
     design, counts, inverse = tr.distinct

@@ -16,8 +16,9 @@ the limit's tie-tolerant one over distinct columns, scores a
 degenerate set's draws and an estimate's simple sets in blocks, and
 gathers a shift matrix through one index.  The traces sidecar
 is written here row by row through csv.writer.  A separating weight
-vector per task and the mean test error over result rows are here too,
-as only the tests read them.
+vector per task, the mean test error and the summary values of result
+rows, and training from a drawn init are here too, as only the tests
+read them.
 """
 
 import csv
@@ -43,6 +44,7 @@ from convlin.models import (
     error_from_margins,
     init_weights,
     margins,
+    train,
 )
 from convlin.shift import shift_matrix, training_average
 from convlin.tasks import sample_training_set
@@ -102,6 +104,13 @@ def summarize(rows, model=None, loss=None, n=None):
     if not vals:
         raise ValueError("no matching rows")
     return _mean_se(vals)
+
+
+def summary_values(result):
+    """A run's summary rows, those at trial index ``spec.trials``, as
+    {aux_key: float value}."""
+    return {r.aux_key: float(r.aux_value) for r in result.rows
+            if r.trial == result.spec.trials}
 
 
 def convolve_collapse(w1, w2):
@@ -292,6 +301,13 @@ def _scalar_hinge_step(model, weights, tr, alpha, m):
         g_w2 = weights.W1 @ s
         weights.W1 += scale * g_W1
         weights.w2 += scale * g_w2
+
+
+def train_drawn(model, tr, config, rng, k=None, **kwargs):
+    """`train` from an init drawn as the experiments draw one,
+    ``init_weights(model, tr.d, k, config, rng)``."""
+    return train(model, tr, config, init_weights(model, tr.d, k, config, rng),
+                 **kwargs)
 
 
 def scalar_train(model, tr, config, rng, k=None, eval_set=None,

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from oracles import scalar_train, summarize
+from oracles import scalar_train, summarize, summary_values, train_drawn
 from test_linalg import irreducible_by_definition, primitive_by_definition
 
 from convlin.dynamics import (
@@ -79,8 +79,7 @@ def test_criterion_01_closed_form_matches_iterative(acceptance_report):
                 break
         w0 = ConvWeights(w1=rng.standard_normal(k), w2=rng.standard_normal(d))
         cfg = TrainConfig(loss="xhinge", alpha=0.05, max_steps=100)
-        trace = train("conv", tr, cfg, rng, k=k, initial=w0,
-                      record_weights=True)
+        trace = train("conv", tr, cfg, w0, record_weights=True)
         for t in (1, 5, 20, 100):
             cf = closed_form_weights(w0.w1, w0.w2, mtr, 0.05, t)
             it = trace.weights_per_step[t]
@@ -108,7 +107,7 @@ def test_criterion_02_onelayer_closed_form(acceptance_report):
         errs = []
         for _ in range(100):
             tr = sample_training_set(whole, n, rng)
-            trace = train("1layer", tr, TrainConfig(loss="hinge"), rng)
+            trace = train_drawn("1layer", tr, TrainConfig(loss="hinge"), rng)
             errs.append(classification_error(trace.weights, whole))
         mean, se = _mean_se(errs)
         target = onelayer_error(100, n)
@@ -138,8 +137,8 @@ def test_criterion_03_limit_matches_long_run(acceptance_report):
             tr = sample_training_set(whole, n, rng)
             err, _ = asymptotic_error_for_trainset(whole, tr, 5, rng=rng)
             asym.append(err)
-            xh = train("conv", tr, TrainConfig(loss="xhinge", max_steps=1000),
-                       rng, k=5)
+            xh = train_drawn("conv", tr, TrainConfig(loss="xhinge", max_steps=1000),
+                             rng, k=5)
             localized.append(classification_error(xh.weights, whole))
         gap = abs(float(np.mean(asym)) - float(np.mean(localized)))
         ok &= gap <= 0.02
@@ -165,8 +164,8 @@ def test_criterion_04_generalization_gap(acceptance_report):
         conv, onel = [], []
         for _ in range(100):
             tr = sample_training_set(whole, n, rng)
-            c = train("conv", tr, TrainConfig(loss="hinge"), rng, k=5)
-            l = train("1layer", tr, TrainConfig(loss="hinge"), rng)
+            c = train_drawn("conv", tr, TrainConfig(loss="hinge"), rng, k=5)
+            l = train_drawn("1layer", tr, TrainConfig(loss="hinge"), rng)
             conv.append(classification_error(c.weights, whole))
             onel.append(classification_error(l.weights, whole))
         stats[n] = (_mean_se(conv), _mean_se(onel))
@@ -244,11 +243,10 @@ def test_criterion_07_spaced_design_no_advantage(acceptance_report):
     and conv limiting error within 3 pooled SEs of one layer."""
     t0 = time.perf_counter()
     spec = ExperimentSpec(experiment="prop1-check", trials=200, seed=0)
-    result = run(spec)
-    resid = result.extras["gram_residual"]
-    gap = abs(result.extras["conv_mean"] - result.extras["onelayer_mean"])
-    slack = 3.0 * math.hypot(result.extras["conv_se"],
-                             result.extras["onelayer_se"])
+    values = summary_values(run(spec))
+    resid = values["gram_residual"]
+    gap = abs(values["conv_mean"] - values["onelayer_mean"])
+    slack = 3.0 * math.hypot(values["conv_se"], values["onelayer_se"])
     runtime = time.perf_counter() - t0
     ok = resid <= 1e-12 and gap <= slack and runtime < 60.0
     _emit(acceptance_report,
@@ -308,7 +306,7 @@ def test_criterion_09_shared_init_correlation(acceptance_report):
     t0 = time.perf_counter()
     spec = ExperimentSpec(experiment="init-study", seed=0)
     result = run(spec)
-    r = result.extras["pearson_r"]
+    r = summary_values(result)["pearson_r"]
     whole = whole_dataset("cls", 100)
     tr_rng = np.random.default_rng(derive_seed(0, "init-study", 30, 100))
     tr = sample_training_set(whole, 30, tr_rng)

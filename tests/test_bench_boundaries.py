@@ -3,14 +3,18 @@
 Every benchmark worker verifies `layers.BOUNDARIES` before it runs,
 traced or not, so a renamed, dropped or aliased function at a traced
 boundary (``dynamics.thin_svd`` or ``dynamics.sample_training_set``,
-say) would stop every benchmark run.  The package itself imports
-nothing from the benchmark.
+say) would stop every benchmark run.  The traced training calls must
+also keep the argument positions that the benchmark's tags read.  The
+package itself imports nothing from the benchmark.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from convlin import harness, models
+from convlin.harness import ExperimentSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +30,36 @@ def bench_modules(monkeypatch):
 def test_boundaries_resolve(bench_modules):
     layers, spans = bench_modules
     spans.verify(layers.BOUNDARIES)
+
+
+def test_train_tag_reads_every_call(bench_modules, monkeypatch):
+    """`layers._train_tag` reads the model at position 0 and the config
+    at position 2 of each `harness.train` call, in a gen-curve run of
+    every model and an init-study run of both losses."""
+    layers, _ = bench_modules
+    calls, real = [], harness.train
+
+    def logged(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        calls.append((args, kwargs, trace))
+        return trace
+
+    monkeypatch.setattr(harness, "train", logged)
+    harness.run(ExperimentSpec(experiment="gen-curve", d=20, k=3, n=(6,),
+                               trials=2, models=models.MODELS))
+    harness.run(ExperimentSpec(experiment="init-study", d=20, k=3, n=(8,),
+                               trials=2, xhinge_steps=10, snapshot_t=5))
+    assert len(calls) == 2 * len(models.MODELS) + 2 * 2
+    losses = set()
+    for args, kwargs, trace in calls:
+        tag = layers._train_tag(args, kwargs, trace)
+        assert tag["model"] in models.MODELS
+        assert type(trace.weights) is models.WEIGHT_TYPES[tag["model"]]
+        assert tag["loss"] in models.LOSSES
+        assert (tag["loss"] == "xhinge") == (trace.stop_reason == "fixed-steps")
+        assert tag["steps"] == trace.steps_run
+        losses.add(tag["loss"])
+    assert losses == set(models.LOSSES)
 
 
 def test_package_imports_nothing_from_bench():

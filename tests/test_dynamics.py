@@ -71,7 +71,7 @@ class TestClosedForm:
         w0 = ConvWeights(w1=rng.standard_normal(3),
                          w2=rng.standard_normal(20))
         cfg = TrainConfig(loss="xhinge", alpha=0.1, max_steps=1)
-        trace = train("conv", tr, cfg, rng, k=3, initial=w0)
+        trace = train("conv", tr, cfg, w0)
         step = closed_form_weights(w0.w1, w0.w2, training_average(tr, 3),
                                    0.1, 1)
         np.testing.assert_allclose(step.w1, trace.weights.w1, atol=1e-14)
@@ -82,7 +82,7 @@ class TestClosedForm:
         tr = sample_training_set(cls100, 30, rng)
         w0 = ConvWeights(w1=rng.standard_normal(5), w2=np.zeros(100))
         cfg = TrainConfig(loss="xhinge", alpha=0.1, max_steps=100)
-        trace = train("conv", tr, cfg, rng, k=5, initial=w0)
+        trace = train("conv", tr, cfg, w0)
         step = closed_form_weights(w0.w1, w0.w2, training_average(tr, 5),
                                    0.1, 100)
         np.testing.assert_allclose(step.w1, trace.weights.w1,
@@ -249,11 +249,6 @@ class TestTrainsetError:
         assert degenerate
         assert err == pytest.approx(0.495, abs=0.01)
 
-    def test_degenerate_without_rng_rejected(self, cls100):
-        tr = make_training_set(100, [(50, 1.0, 1)])
-        with pytest.raises(ValueError):
-            asymptotic_error_for_trainset(cls100, tr, 5)
-
     @pytest.mark.parametrize("draws", [0, -1])
     def test_draw_count_validated(self, cls100, draws):
         """Rejected on a simple top pair too, not only once a degenerate
@@ -325,7 +320,8 @@ class TestBlockScoring:
                 aw = AsymptoticWeights(w1=v, w2=u, m=1)
                 assert asymptotic_error(aw, whole) == \
                     asymptotic_error_alone(aw, whole)
-                assert asymptotic_error_for_trainset(whole, tr, k) == \
+                assert asymptotic_error_for_trainset(
+                    whole, tr, k, np.random.default_rng(0)) == \
                     (asymptotic_error_alone(aw, whole), False)
             aw = asymptotic_weights(rng.standard_normal(k), mtr)
             assert asymptotic_error(aw, whole) == \

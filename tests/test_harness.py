@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from convlin import cli, harness
+from convlin import cli, harness, models, theory
 from convlin.errors import ConfigError, NumericalError
 from convlin.harness import (
     CSV_HEADER,
@@ -34,9 +34,9 @@ from convlin.harness import (
     run,
     write_result,
 )
-from convlin.models import TrainConfig, TrainTrace, classification_error, train
+from convlin.models import TrainConfig, TrainTrace, classification_error
 from convlin.tasks import sample_training_set, whole_dataset
-from oracles import summarize, write_traces_csv
+from oracles import summarize, summary_values, train_drawn, write_traces_csv
 
 
 def tiny_gen_spec(**overrides):
@@ -250,11 +250,71 @@ class TestGenCurve:
         whole = whole_dataset(spec.task, spec.d)
         rng = np.random.default_rng(row.seed)
         tr = sample_training_set(whole, row.n, rng)
-        trace = train("1layer", tr, TrainConfig(loss="hinge"), rng)
+        trace = train_drawn("1layer", tr, TrainConfig(loss="hinge"), rng)
         redo = classification_error(trace.weights, whole)
         onelayer = [r for r in result.rows
                     if (r.n, r.trial, r.model) == (row.n, row.trial, "1layer")]
         assert redo == onelayer[0].test_error
+
+
+class TestDrawBeforeFit:
+    """Each trial makes all of its draws (the training set and each
+    run's init) from its own rng before its first `train` call, and every
+    run trains from an init that its own trial drew."""
+
+    SPECS = {
+        "gen-curve": dict(d=20, k=3, n=(5, 10), trials=2,
+                          models=("1layer", "conv", "fc")),
+        "asym-vs-losses": dict(d=20, k=3, n=(6,), trials=3, xhinge_steps=10),
+        "init-study": dict(d=20, k=3, n=(8,), trials=3, xhinge_steps=10,
+                           snapshot_t=5),
+        "prop1-check": dict(d=30, k=3, n=(4,), trials=3),
+    }
+
+    @pytest.mark.parametrize("experiment", SPECS)
+    def test_trials_draw_then_fit(self, experiment, monkeypatch):
+        log = []
+
+        def logged(kind, fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                log.append((kind, args, out))
+                return out
+            return call
+
+        monkeypatch.setattr(harness, "_trial_rng",
+                            logged("trial", harness._trial_rng))
+        monkeypatch.setattr(harness, "train", logged("train", harness.train))
+        monkeypatch.setattr(models, "init_weights",
+                            logged("init", models.init_weights))
+        monkeypatch.setattr(harness, "sample_training_set",
+                            logged("set", harness.sample_training_set))
+        spec = ExperimentSpec(experiment=experiment, seed=5,
+                              **self.SPECS[experiment])
+        result = run(spec)
+
+        # Split the log at each rng the driver derives.  A summary seed's
+        # segment trains nothing; init-study draws its training set there.
+        starts = [i for i, (kind, _, _) in enumerate(log) if kind == "trial"]
+        fitted = 0
+        for a, b in zip(starts, starts[1:] + [len(log)]):
+            (_, (_, n, trial), (_, rng)), calls = log[a], log[a + 1 : b]
+            kinds = [kind for kind, _, _ in calls]
+            for kind, args, _ in calls:
+                if kind != "train":
+                    assert any(arg is rng for arg in args), (n, trial, kind)
+            if "train" not in kinds:
+                continue
+            fitted += 1
+            first_fit = kinds.index("train")
+            assert set(kinds[first_fit:]) == {"train"}, (n, trial, kinds)
+            inits = [out for kind, _, out in calls if kind == "init"]
+            for _, args, _ in calls[first_fit:]:
+                assert any(args[3] is w0 for w0 in inits), (n, trial)
+        assert fitted == len(spec.n) * spec.trials
+        trained = [r for r in result.rows
+                   if r.stop_reason in ("loss-zero", "step-budget", "fixed-steps")]
+        assert sum(kind == "train" for kind, _, _ in log) == len(trained)
 
 
 @pytest.fixture(scope="module")
@@ -298,15 +358,15 @@ class TestInitStudy:
         spec = ExperimentSpec(experiment="init-study", d=30, k=3, n=(10,),
                               trials=5, xhinge_steps=60, snapshot_t=30, seed=2)
         result = run(spec)
-        assert isinstance(result.extras["pearson_r"], float)
-        assert result.extras["pairs"].shape == (5, 2)
         assert len(result.traces) == 10
         summary = [r for r in result.rows if r.loss == "summary"]
         assert len(summary) == 1
         assert summary[0].aux_key == "pearson_r"
-        assert float(summary[0].aux_value) == result.extras["pearson_r"]
-        snaps = [r for r in result.rows if r.aux_key == "snapshot_acc_t30"]
-        assert len(snaps) == 5
+        snaps = [float(r.aux_value) for r in result.rows
+                 if r.aux_key == "snapshot_acc_t30"]
+        hinge = [1.0 - r.test_error for r in result.rows if r.loss == "hinge"]
+        assert len(snaps) == len(hinge) == 5
+        assert float(summary[0].aux_value) == np.corrcoef(snaps, hinge)[0, 1]
 
     def test_constant_side_writes_zero(self):
         """At b = 1e-100 every hinge run reaches accuracy 0.99, whose
@@ -316,9 +376,10 @@ class TestInitStudy:
         spec = ExperimentSpec(experiment="init-study", d=100, k=5, n=(30,),
                               trials=3, b=1e-100)
         result = run(spec)
-        hinge = result.extras["pairs"][:, 1]
+        hinge = np.array([1.0 - r.test_error for r in result.rows
+                          if r.loss == "hinge"])
         assert (hinge == hinge[0]).all() and hinge.std() != 0.0
-        assert result.extras["pearson_r"] == 0.0
+        assert summary_values(result) == {"pearson_r": 0.0}
 
 
 class TestAnalysisCurves:
@@ -333,7 +394,9 @@ class TestAnalysisCurves:
                                  "coverage_exact", "sum_exact", "sum_approx",
                                  "onelayer"}
             assert 0.0 <= vals["err1"] <= 1.0
-            report = result.extras[n]
+            seed, = {r.seed for r in result.rows if r.n == n}
+            report = theory.decomposition_report(30, 3, n, 200,
+                                                 np.random.default_rng(seed))
             assert vals["ratio"] == pytest.approx(
                 report.prob_no_adjacent_pair_exact / vals["err2"])
             assert vals["sum_exact"] == \
@@ -350,7 +413,7 @@ def prop1_result():
 
 class TestProp1Check:
     def test_gram_residual_is_tiny(self, prop1_result):
-        assert prop1_result.extras["gram_residual"] <= 1e-12
+        assert summary_values(prop1_result)["gram_residual"] <= 1e-12
 
     def test_every_draw_is_fully_degenerate(self, prop1_result):
         for r in prop1_result.rows:
@@ -358,9 +421,9 @@ class TestProp1Check:
                 assert r.aux_value == "3"
 
     def test_conv_limit_matches_onelayer(self, prop1_result):
-        extras = prop1_result.extras
-        gap = abs(extras["conv_mean"] - extras["onelayer_mean"])
-        se = math.hypot(extras["conv_se"], extras["onelayer_se"])
+        values = summary_values(prop1_result)
+        gap = abs(values["conv_mean"] - values["onelayer_mean"])
+        se = math.hypot(values["conv_se"], values["onelayer_se"])
         assert gap <= 3.0 * se
 
 
@@ -404,7 +467,7 @@ class TestXhingePostFitBehaviour:
         rng = np.random.default_rng(9)
         tr = sample_training_set(whole, 40, rng)
         cfg = TrainConfig(loss="xhinge", max_steps=1000)
-        trace = train("conv", tr, cfg, rng, k=5, record_weights=True)
+        trace = train_drawn("conv", tr, cfg, rng, k=5, record_weights=True)
         terr = np.asarray(trace.train_error)
         fit = np.nonzero(terr == 0.0)[0]
         assert fit.size > 0 and fit[0] < 500
@@ -868,4 +931,7 @@ class TestMain:
                         "--snapshot-t", "15", "--seed", "8",
                         "--out", str(out)])
         assert code == 0
-        assert "pearson_r = " in capsys.readouterr().out
+        with open(out) as fh:
+            r, = [float(row["aux_value"]) for row in csv.DictReader(fh)
+                  if row["aux_key"] == "pearson_r"]
+        assert f"pearson_r = {r:.4f}\n" in capsys.readouterr().out

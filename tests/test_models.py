@@ -43,6 +43,7 @@ from oracles import (
     hinge_loss,
     point_margins,
     scalar_train,
+    train_drawn,
 )
 
 
@@ -403,7 +404,7 @@ class TestHingeTraining:
         lands exactly on w = e_1 and fits the point."""
         tr = single_point_set("cls", 4, 1, 1.0, 1)
         cfg = TrainConfig(loss="hinge", alpha=1.0, init="zero")
-        trace = train("1layer", tr, cfg, np.random.default_rng(0))
+        trace = train_drawn("1layer", tr, cfg, np.random.default_rng(0))
         assert trace.steps_run == 1
         assert trace.stop_reason == "loss-zero"
         np.testing.assert_array_equal(trace.train_loss, [1.0, 0.0])
@@ -418,8 +419,7 @@ class TestHingeTraining:
         tr = single_point_set("cls", 2, 1, 1.0, 1)
         cfg = TrainConfig(loss="hinge", alpha=0.5)
         w0 = ConvWeights(w1=np.array([1.0]), w2=np.zeros(2))
-        trace = train("conv", tr, cfg, np.random.default_rng(0), k=1,
-                      initial=w0, record_weights=True)
+        trace = train("conv", tr, cfg, w0, record_weights=True)
         assert trace.steps_run == 2
         np.testing.assert_allclose(trace.train_loss, [1.0, 0.5, 0.0])
         np.testing.assert_allclose(trace.weights.w1, [1.25])
@@ -430,7 +430,7 @@ class TestHingeTraining:
         tr = single_point_set("cls", 2, 1, 1.0, 1)
         cfg = TrainConfig(loss="hinge", alpha=1.0)
         w0 = FCWeights(W1=np.eye(2), w2=np.zeros(2))
-        trace = train("fc", tr, cfg, np.random.default_rng(0), initial=w0)
+        trace = train("fc", tr, cfg, w0)
         assert trace.steps_run == 1
         np.testing.assert_array_equal(trace.weights.W1, np.eye(2))
         np.testing.assert_array_equal(trace.weights.w2, [1.0, 0.0])
@@ -443,37 +443,40 @@ class TestHingeTraining:
         tr = single_point_set("cls", 2, 1, 1.0, 1)
         cfg = TrainConfig(loss="hinge", alpha=1.0, max_steps=1)
         w0 = ConvWeights(w1=np.array([1.0]), w2=np.array([0.5, 0.0]))
-        trace = train("conv", tr, cfg, np.random.default_rng(0), k=1,
-                      initial=w0)
+        trace = train("conv", tr, cfg, w0)
         np.testing.assert_allclose(trace.weights.w1, [1.5])
         np.testing.assert_allclose(trace.weights.w2, [1.5, 0.0])
 
-    def test_initial_weights_not_mutated(self):
+    @pytest.mark.parametrize("model,loss", [("1layer", "hinge"), ("fc", "hinge"),
+                                            ("conv", "hinge"), ("conv", "xhinge")])
+    def test_initial_weights_not_mutated(self, model, loss):
+        """Every run trains a copy of the weights it is handed, so one
+        init can start several runs, as in init-study."""
         tr = single_point_set("cls", 4, 2, 1.0, 1)
-        w0 = ConvWeights(w1=np.array([0.1, 0.2]), w2=np.zeros(4))
-        keep1, keep2 = w0.w1.copy(), w0.w2.copy()
-        train("conv", tr, TrainConfig(loss="hinge"), np.random.default_rng(0),
-              k=2, initial=w0)
-        np.testing.assert_array_equal(w0.w1, keep1)
-        np.testing.assert_array_equal(w0.w2, keep2)
+        w0 = init_weights(model, 4, 2, TrainConfig(loss="hinge"),
+                          np.random.default_rng(0))
+        keep = w0.copy()
+        trace = train(model, tr, TrainConfig(loss=loss, max_steps=20), w0)
+        assert trace.steps_run >= 1
+        assert_same_weights(w0, keep)
 
     def test_eval_set_recording(self):
         whole = whole_dataset("cls", 20)
         tr = sample_training_set(whole, 10, np.random.default_rng(3))
-        trace = train("1layer", tr, TrainConfig(loss="hinge"),
-                      np.random.default_rng(4), eval_set=whole)
+        trace = train_drawn("1layer", tr, TrainConfig(loss="hinge"),
+                            np.random.default_rng(4), eval_set=whole)
         assert not np.any(np.isnan(trace.test_error))
         assert trace.test_error[-1] == \
             classification_error(trace.weights, whole)
-        bare = train("1layer", tr, TrainConfig(loss="hinge"),
-                     np.random.default_rng(4))
+        bare = train_drawn("1layer", tr, TrainConfig(loss="hinge"),
+                           np.random.default_rng(4))
         assert np.all(np.isnan(bare.test_error))
 
     def test_budget_exhaustion_flagged(self):
         whole = whole_dataset("3rdctrl", 30)
         tr = sample_training_set(whole, 100, np.random.default_rng(5))
         cfg = TrainConfig(loss="hinge", max_steps=3)
-        trace = train("1layer", tr, cfg, np.random.default_rng(6))
+        trace = train_drawn("1layer", tr, cfg, np.random.default_rng(6))
         assert trace.stop_reason == "step-budget"
 
     def test_divergence_raises(self):
@@ -485,7 +488,7 @@ class TestHingeTraining:
         cfg = TrainConfig(loss="hinge", alpha=1e308, max_steps=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="not finite"):
-                train("conv", tr, cfg, rng, k=3)
+                train_drawn("conv", tr, cfg, rng, k=3)
 
     def test_divergence_stops_at_once(self):
         """At the default step budget a diverged run raises within a few
@@ -497,7 +500,7 @@ class TestHingeTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="not finite") as info:
-                train("conv", tr, cfg, rng, k=3)
+                train_drawn("conv", tr, cfg, rng, k=3)
         step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
         assert 1 <= step <= 5
 
@@ -510,7 +513,7 @@ class TestHingeTraining:
             whole = whole_dataset(task, 100)
             tr = sample_training_set(whole, 60, rng)
             for model in ("conv",) if task == "3rdctrl" else ("conv", "1layer"):
-                trace = train(model, tr, TrainConfig(loss="hinge"), rng, k=5)
+                trace = train_drawn(model, tr, TrainConfig(loss="hinge"), rng, k=5)
                 assert trace.stop_reason == "loss-zero", (task, model)
                 assert hinge_loss(trace.weights, tr) == 0.0
 
@@ -520,7 +523,7 @@ class TestHingeTraining:
         whole = whole_dataset("cls", 50)
         tr = sample_training_set(whole, 25, np.random.default_rng(9))
         cfg = TrainConfig(loss="hinge")
-        trace = train("conv", tr, cfg, np.random.default_rng(10), k=5)
+        trace = train_drawn("conv", tr, cfg, np.random.default_rng(10), k=5)
         assert trace.stop_reason == "loss-zero"
         more = scalar_train("conv", tr, replace(cfg, max_steps=5), None,
                             initial=trace.weights, past_fit=True)
@@ -537,8 +540,8 @@ class TestHingeTraining:
         e1, ef = [], []
         for _ in range(100):
             tr = sample_training_set(whole, 200, rng)
-            t1 = train("1layer", tr, TrainConfig(loss="hinge"), rng)
-            tf = train("fc", tr, TrainConfig(loss="hinge"), rng)
+            t1 = train_drawn("1layer", tr, TrainConfig(loss="hinge"), rng)
+            tf = train_drawn("fc", tr, TrainConfig(loss="hinge"), rng)
             e1.append(classification_error(t1.weights, whole))
             ef.append(classification_error(tf.weights, whole))
         e1, ef = np.asarray(e1), np.asarray(ef)
@@ -554,8 +557,7 @@ class TestXhingeTraining:
         tr = single_point_set("cls", 2, 1, 1.0, 1)
         w0 = ConvWeights(w1=np.array([1.0, 0.0]), w2=np.zeros(2))
         cfg = TrainConfig(loss="xhinge", alpha=0.5, max_steps=1)
-        trace = train("conv", tr, cfg, np.random.default_rng(0), k=2,
-                      initial=w0)
+        trace = train("conv", tr, cfg, w0)
         assert trace.stop_reason == "fixed-steps"
         np.testing.assert_allclose(trace.weights.w1, [1.0, 0.0])
         np.testing.assert_allclose(trace.weights.w2, [0.5, 0.0])
@@ -564,8 +566,8 @@ class TestXhingeTraining:
         tr = single_point_set("cls", 4, 1, 1.0, 1)
         for model in ("1layer", "fc"):
             with pytest.raises(ConfigError):
-                train(model, tr, TrainConfig(loss="xhinge", max_steps=1),
-                      np.random.default_rng(0))
+                train_drawn(model, tr, TrainConfig(loss="xhinge", max_steps=1),
+                            np.random.default_rng(0))
 
     def test_positive_homogeneity(self):
         """Scaling the init by c scales the whole trajectory by c and
@@ -576,10 +578,8 @@ class TestXhingeTraining:
         w0 = ConvWeights(w1=np.random.default_rng(13).standard_normal(4),
                          w2=np.zeros(30))
         scaled = ConvWeights(w1=3.0 * w0.w1, w2=np.zeros(30))
-        a = train("conv", tr, cfg, np.random.default_rng(0), k=4, initial=w0,
-                  eval_set=whole, record_weights=True)
-        b = train("conv", tr, cfg, np.random.default_rng(0), k=4,
-                  initial=scaled, eval_set=whole, record_weights=True)
+        a = train("conv", tr, cfg, w0, eval_set=whole, record_weights=True)
+        b = train("conv", tr, cfg, scaled, eval_set=whole, record_weights=True)
         for t in (1, 10, 40):
             np.testing.assert_allclose(b.weights_per_step[t].w2,
                                        3.0 * a.weights_per_step[t].w2,
@@ -596,8 +596,7 @@ class TestXhingeTraining:
         # 0.7 crosses the 1e100 threshold around step 840 while the
         # unrenormalized margins stay below the float64 ceiling.
         hot = TrainConfig(loss="xhinge", alpha=0.7, max_steps=1000)
-        a = train("conv", tr, hot, np.random.default_rng(0), k=5, initial=w0,
-                  eval_set=whole)
+        a = train("conv", tr, hot, w0, eval_set=whole)
         b = scalar_train("conv", tr, hot, np.random.default_rng(0), k=5,
                          initial=w0, eval_set=whole, renormalize=False)
         assert a.renormalizations >= 1
@@ -667,8 +666,8 @@ class TestScalarOracle:
         eval_set = whole if with_eval else None
         want = scalar_train(model, tr, cfg, np.random.default_rng(7), k=k,
                             eval_set=eval_set, record_weights=True)
-        got = train(model, tr, cfg, np.random.default_rng(7), k=k,
-                    eval_set=eval_set, record_weights=True)
+        got = train_drawn(model, tr, cfg, np.random.default_rng(7), k=k,
+                          eval_set=eval_set, record_weights=True)
         assert_same_trace(got, want)
 
     def test_continued_run_after_zero_loss(self):
@@ -680,7 +679,7 @@ class TestScalarOracle:
         cfg = TrainConfig(loss="hinge")
         more = replace(cfg, max_steps=3)
         for model in ("1layer", "conv", "fc"):
-            first = train(model, tr, cfg, np.random.default_rng(2), k=10)
+            first = train_drawn(model, tr, cfg, np.random.default_rng(2), k=10)
             assert first.stop_reason == "loss-zero"
             got = scalar_train(model, tr, more, None, initial=first.weights,
                                record_weights=True, past_fit=True)
@@ -690,7 +689,7 @@ class TestScalarOracle:
             for w in (got.weights, *got.weights_per_step):
                 assert_same_weights(w, first.weights)
         # The positions no training point uses do not move the margins.
-        w = train("1layer", tr, cfg, np.random.default_rng(2)).weights.w
+        w = train_drawn("1layer", tr, cfg, np.random.default_rng(2)).weights.w
         w[np.setdiff1d(np.arange(40), tr.positions)] = -0.0
         got = scalar_train("1layer", tr, more, None, initial=LinearWeights(w),
                            past_fit=True)
@@ -711,8 +710,8 @@ class TestScalarOracle:
         eval_set = whole if with_eval else None
         want = scalar_train(model, tr, cfg, np.random.default_rng(12), k=5,
                             eval_set=eval_set, record_weights=True)
-        got = train(model, tr, cfg, np.random.default_rng(12), k=5,
-                    eval_set=eval_set, record_weights=True)
+        got = train_drawn(model, tr, cfg, np.random.default_rng(12), k=5,
+                          eval_set=eval_set, record_weights=True)
         assert_same_trace(got, want)
 
     @staticmethod
@@ -745,8 +744,8 @@ class TestScalarOracle:
         eval_set = whole if with_eval else None
         want = scalar_train(model, tr, cfg, np.random.default_rng(3), k=3,
                             eval_set=eval_set, record_weights=True)
-        got = train(model, tr, cfg, np.random.default_rng(3), k=3,
-                    eval_set=eval_set, record_weights=True)
+        got = train_drawn(model, tr, cfg, np.random.default_rng(3), k=3,
+                          eval_set=eval_set, record_weights=True)
         assert_same_trace(got, want)
 
     @pytest.mark.parametrize("max_steps", (1, 2, 37))
@@ -758,8 +757,8 @@ class TestScalarOracle:
         cfg = TrainConfig(loss="hinge", max_steps=max_steps)
         want = scalar_train("1layer", tr, cfg, np.random.default_rng(12),
                             eval_set=whole, record_weights=True)
-        got = train("1layer", tr, cfg, np.random.default_rng(12),
-                    eval_set=whole, record_weights=True)
+        got = train_drawn("1layer", tr, cfg, np.random.default_rng(12),
+                          eval_set=whole, record_weights=True)
         assert got.stop_reason == "step-budget"
         assert_same_trace(got, want)
 
@@ -775,8 +774,8 @@ class TestScalarOracle:
         cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
         want = scalar_train("conv", tr, cfg, np.random.default_rng(7), k=k,
                             eval_set=whole, record_weights=True)
-        got = train("conv", tr, cfg, np.random.default_rng(7), k=k,
-                    eval_set=whole, record_weights=True)
+        got = train_drawn("conv", tr, cfg, np.random.default_rng(7), k=k,
+                          eval_set=whole, record_weights=True)
         assert got.renormalizations == rescales
         assert_same_trace(got, want)
 
@@ -792,8 +791,8 @@ class TestScalarOracle:
         cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
         want = scalar_train("conv", tr, cfg, np.random.default_rng(12), k=5,
                             eval_set=whole, record_weights=True)
-        got = train("conv", tr, cfg, np.random.default_rng(12), k=5,
-                    eval_set=whole, record_weights=True)
+        got = train_drawn("conv", tr, cfg, np.random.default_rng(12), k=5,
+                          eval_set=whole, record_weights=True)
         assert got.steps_run == max_steps
         assert_same_trace(got, want)
 
@@ -816,7 +815,7 @@ class TestScalarOracle:
         w0 = ConvWeights(w1=np.array([start]), w2=np.array([start, 0.0, 0.0, 0.0]))
         cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
         want = scalar_train("conv", tr, cfg, None, initial=w0, record_weights=True)
-        got = train("conv", tr, cfg, None, initial=w0, record_weights=True)
+        got = train("conv", tr, cfg, w0, record_weights=True)
         assert want.renormalizations >= 1
         assert_same_trace(got, want)
 
@@ -840,8 +839,7 @@ class TestScalarOracle:
             assert max(tops[:-1]) <= RENORM_THRESHOLD < tops[-1]
         want = scalar_train("conv", tr, cfg, None, initial=w0, eval_set=whole,
                             record_weights=True)
-        got = train("conv", tr, cfg, None, initial=w0, eval_set=whole,
-                    record_weights=True)
+        got = train("conv", tr, cfg, w0, eval_set=whole, record_weights=True)
         assert_same_trace(got, want)
         return got
 
@@ -882,8 +880,7 @@ class TestScalarOracle:
         cfg = TrainConfig(loss="xhinge", max_steps=1000)
         want = scalar_train("conv", tr, cfg, None, initial=w0, eval_set=whole,
                             record_weights=True)
-        got = train("conv", tr, cfg, None, initial=w0, eval_set=whole,
-                    record_weights=True)
+        got = train("conv", tr, cfg, w0, eval_set=whole, record_weights=True)
         assert got.steps_run == 1000
         assert_same_trace(got, want)
         assert_same_weights(w0, before)
@@ -906,7 +903,7 @@ class TestScalarOracle:
             scalar_train("1layer", tr, cfg, np.random.default_rng(20),
                          eval_set=whole)
         with pytest.raises(NumericalError) as got:
-            train("1layer", tr, cfg, np.random.default_rng(20), eval_set=whole)
+            train_drawn("1layer", tr, cfg, np.random.default_rng(20), eval_set=whole)
         assert str(got.value) == str(want.value)
         assert "the loss at step 1 is not finite" in str(got.value)
 
@@ -930,8 +927,8 @@ class TestScalarOracle:
             scalar_train(model, tr, cfg, np.random.default_rng(4), k=3,
                          eval_set=whole)
         with pytest.raises(NumericalError) as got:
-            train(model, tr, cfg, np.random.default_rng(4), k=3,
-                  eval_set=whole)
+            train_drawn(model, tr, cfg, np.random.default_rng(4), k=3,
+                        eval_set=whole)
         assert str(got.value) == str(want.value)
 
 
@@ -963,8 +960,8 @@ class TestTraceSerialization:
                           weights=None, stop_reason="fixed-steps")
         whole = whole_dataset("cls", 30)
         tr = sample_training_set(whole, 15, np.random.default_rng(12))
-        runs = [train("conv", tr, TrainConfig(loss="xhinge", max_steps=60),
-                      np.random.default_rng(3), k=4, eval_set=eval_set)
+        runs = [train_drawn("conv", tr, TrainConfig(loss="xhinge", max_steps=60),
+                            np.random.default_rng(3), k=4, eval_set=eval_set)
                 for eval_set in (whole, None)]
         for trace in (made, *runs):
             got = _csv_text(trace.csv_rows())
@@ -974,8 +971,8 @@ class TestTraceSerialization:
     def test_csv_layout(self):
         tr = single_point_set("cls", 4, 1, 1.0, 1)
         cfg = TrainConfig(loss="hinge", alpha=1.0, init="zero")
-        trace = train("1layer", tr, cfg, np.random.default_rng(0),
-                      eval_set=whole_dataset("cls", 4))
+        trace = train_drawn("1layer", tr, cfg, np.random.default_rng(0),
+                            eval_set=whole_dataset("cls", 4))
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(TRACE_COLUMNS)
