@@ -35,27 +35,44 @@ calls the update with the active set, and the update advances the
 weights and returns the effective weight vectors c and the margins of
 the J >= 1 steps it took, as (J, d) and (J, u) arrays, with the weights
 after each of those steps, which the loop copies only to record them.
-The loop scores the steps in batches of rows: the losses as row sums of
-the per-point losses, which one take through the column index expands
-from the columns, the errors as one product of the signs with the
-column counts, the eval errors from one gather of the stacked c on the
-eval set's distinct columns and the same product with its counts, and
-it raises at the first step whose loss is not finite.
+The loop scores the steps in batches of rows, and offers an update no
+more steps than the batch has room for, so that an array that holds or
+scores a batch passes BLOCK_ELEMENTS only where one row does.  It
+scores the losses as row sums of the per-point losses, which a take
+through the column index expands from the columns, a chunk of rows at
+a time, the errors as one product of the signs with the column counts,
+the eval errors from one gather of the stacked c on the eval set's
+distinct columns and the same product with its counts, and it raises
+at the first step whose loss is not finite.
 
-Conv and fc hinge updates take one step per call.  The active sum s is
-one bincount of the active columns' y * x times their counts, a product
-made once per run.  For conv, the output gradient adds the shifted
-copies of s, read as a window view of a zero-padded buffer, one lag
-after another, and the filter gradient takes one BLAS dot per lag.  The
-one-layer update takes a block of steps.
-While the active set stays the same, every step adds the same
-v = (alpha / n) s to w, so the weights of J steps are one cumulative sum
-down the rows [w + v; v; ...; v], and their margins one (J, u) gather.
-The block ends at the first row whose active set differs.  J comes from
-each margin's predicted crossing of 1, as the margins move linearly with
-the step count; the prediction only sets how much is computed, and the
-change test decides every result.  Where the active set changes at every
-step, as late in a 3rdctrl run, each block is one step.
+The fc hinge update takes one step per call; the one-layer and conv
+hinge updates take blocks of steps.  The active sum s is one bincount
+of the active columns' y * x times their counts, a product made once
+per run.  For conv, the output gradient adds the shifted copies of s,
+read as a window view of a zero-padded buffer, one lag after another,
+and the filter gradient takes one BLAS dot per lag.
+While the active set stays the same, s is fixed.  A one-layer step then
+adds the same v = (alpha / n) s to w, so the weights of J steps are one
+cumulative sum down the rows [w + v; v; ...; v], and their margins one
+(J, u) gather.  The block ends at the first row whose active set
+differs.  J comes from each margin's predicted crossing of 1, as the
+margins move linearly with the step count; the prediction only sets how
+much is computed, and the change test decides every result.  Where the
+active set changes at every step, as late in a 3rdctrl run, each block
+is one step.
+A conv step with a fixed s is only the k lag dots, the window sum and
+two scaled adds.  The conv update takes its first step in place, as a
+single step.  If that step kept the active set, it writes the further
+steps as [w1 | w2] rows of one block, each from the row before with the
+same lag dots and window sum, then collapses the block with one stacked
+`conv_collapse`, gathers its margins once and keeps the rows up to the
+first change of the active set.  J comes from the same predicted
+crossing, though conv margins do not move linearly.  A single step
+allocates no block.  Where the active set keeps changing, the update
+stops testing it: a try that takes fewer than three steps is followed
+by single steps without a try, for a wait that doubles with each failed
+try in a row, up to MAX_WAIT steps.  A try that succeeds resets the
+wait to zero.
 
 The conv xhinge update takes a block of steps too.  Its step is linear
 in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
@@ -103,15 +120,19 @@ each row is the repeated in-place w += v.  An xhinge row takes the same
 products, the same rescale and the same collapse of the same vectors
 as a single step (each entry takes the same product, scale and add),
 and a row inside a growth window is one that no rescale could touch.
+A conv hinge row takes the same lag dots, window sum, scales and adds
+of the same vectors as a single step, and its collapse is
+np.correlate's.
 The batched losses are exact because the per-point loss array is
 C-ordered: take along the last axis builds a new C-ordered (rows, n)
 array of each point's loss in point order, so the row sums run along
 contiguous rows, each the pairwise sum of one 1-D vector of the values
-the per-point loop sums.  The row sums of a Fortran-ordered array would
-add its columns one after another, a sequential sum, and a sum of each
-column's loss times its count rounds differently again.  An error on
-the distinct columns is exact: the weighted sum of signs is an integer,
-exact in any summation order.
+the per-point loop sums, in a chunk of rows as in the whole batch.  The
+row sums of a Fortran-ordered array would add its columns one after
+another, a sequential sum, and a sum of each column's loss times its
+count rounds differently again.  An error on the distinct columns is
+exact: the weighted sum of signs is an integer, exact in any summation
+order.
 """
 
 import math
@@ -398,13 +419,14 @@ def _diverged(model, config, what):
                           f"alpha={config.alpha}: {what}")
 
 
-# Cap on rows x width of the arrays that hold and score a batch of steps,
-# width being the largest of n (the per-point losses a batch expands to),
-# d and the eval set's number of distinct signed columns (an xhinge
-# block's rows are k + d wide).  glibc malloc trims a free heap top past
-# its threshold (128 KB by default), so what a batch frees is faulted back
-# in by the next: 64 KB arrays take a third of the page faults of 128 KB
-# ones (1 << 14) and run faster.
+# Cap on rows x width of the arrays that hold and score a batch of steps.
+# The width is that of the widest array a batch holds: d, or k + d for a
+# conv row of [w1 | w2], the training set's u distinct signed columns and
+# the eval set's.  The per-point losses, n wide, are summed in chunks of
+# BLOCK_ELEMENTS // n rows.  glibc malloc trims a free heap top past its
+# threshold (128 KB by default), so what a batch frees is faulted back in
+# by the next: 64 KB arrays take a third of the page faults of 128 KB ones
+# (1 << 14) and run faster.
 BLOCK_ELEMENTS = 1 << 13
 
 
@@ -454,6 +476,11 @@ def _linear_hinge(weights, design, weighted, scale):
     return update
 
 
+# The most steps a conv hinge run takes one at a time, without a block
+# try, after tries that failed.
+MAX_WAIT = 64
+
+
 def _conv_hinge(weights, design, weighted, scale):
     d, kw = weights.w2.shape[0], weights.w1.shape[0]
     # The active sum s sits in a buffer padded with kw - 1 zeros, so row j
@@ -465,14 +492,55 @@ def _conv_hinge(weights, design, weighted, scale):
     # place.
     s_tails = [s_pad[j:d] for j in range(kw)]
     w2_heads = [weights.w2[: d - j] for j in range(kw)]
+    # The steps to take one at a time before the next block try, and the
+    # wait after the last try, which doubles with each failed try in a row.
+    skip = wait = 0
+
+    def extend(m, act, first, steps):
+        """The steps from the weights after a first step, whose margins
+        ``first`` kept the active set: one [w1 | w2] row per step, up to
+        the first change of the active set."""
+        # As in the one-layer update, the block ends at the first step at
+        # or past the earliest predicted crossing of 1.
+        fastest = np.fmax.reduce((first - m) / (1.0 - first))
+        if fastest * (steps - 1) > 1.0:
+            steps = int(1.0 / fastest) + 2
+        block = np.empty((steps, kw + d))
+        w1s, w2s = block[:, :kw], block[:, kw:]
+        w1s[0], w2s[0] = weights.w1, weights.w2
+        # Each row takes a single step's products, scales and adds.
+        for w1, w2, w1_out, w2_out in zip(w1s, w2s, w1s[1:], w2s[1:]):
+            heads = [w2[: d - j] for j in range(kw)]
+            g1 = np.fromiter(map(np.ndarray.dot, s_tails, heads), float, kw)
+            g2 = (w1[:, None] * shifted).sum(axis=0)
+            np.add(w1, scale * g1, out=w1_out)
+            np.add(w2, scale * g2, out=w2_out)
+        c = conv_collapse(w1s, w2s)
+        margins = _design_margins(c, design)
+        # Rows past the first change of the active set are not steps.
+        changed = np.flatnonzero(((margins < 1.0) != act).any(axis=1))
+        if changed.size:
+            rows = changed[0] + 1
+            c, margins, w1s, w2s = c[:rows], margins[:rows], w1s[:rows], w2s[:rows]
+        weights.w1[:], weights.w2[:] = w1s[-1], w2s[-1]
+        return c, margins, map(ConvWeights, w1s, w2s)
 
     def update(m, act, steps):
+        nonlocal skip, wait
         s_pad[:d] = _active_sum(act, weighted, d)
         g1 = np.fromiter(map(np.ndarray.dot, s_tails, w2_heads), float, kw)
         g2 = (weights.w1[:, None] * shifted).sum(axis=0)
         weights.w1 += scale * g1
         weights.w2 += scale * g2
-        return _state(weights, design)
+        c, margins, stepped = _state(weights, design)
+        if skip:
+            skip -= 1
+        elif steps > 1:
+            if not ((margins[0] < 1.0) != act).any():
+                c, margins, stepped = extend(m, act, margins[0], steps)
+            # A try fails if it takes fewer than three steps.
+            skip = wait = 0 if len(c) > 2 else min(2 * wait + 1, MAX_WAIT)
+        return c, margins, stepped
 
     return update
 
@@ -549,6 +617,12 @@ def _conv_xhinge(weights, design, alpha, tr, rescales):
     return update
 
 
+def _point_sums(h, inverse):
+    """The sum over the points of each row of the per-column values h,
+    expanded to the points through the column index ``inverse``."""
+    return h.take(inverse, axis=1).sum(axis=1)
+
+
 _HINGE_UPDATES = {"1layer": _linear_hinge, "conv": _conv_hinge, "fc": _fc_hinge}
 
 
@@ -577,8 +651,10 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
         update = _HINGE_UPDATES[model](weights, design, weighted, config.alpha / n)
     else:
         update = _conv_xhinge(weights, design, config.alpha, tr, rescales)
-    width = max(n, d, 0 if eval_design is None else eval_design[1].shape[1])
+    width = max(d + (weights.w1.shape[0] if model == "conv" else 0), design[0].shape[1],
+                0 if eval_design is None else eval_design[1].shape[1])
     max_rows = max(1, BLOCK_ELEMENTS // width)
+    loss_rows = max(1, BLOCK_ELEMENTS // n)
     losses, terrs, eerrs = [], [], []
     snaps = [] if record_weights else None
     pending = []  # (effective weights, margins) of the steps not yet scored
@@ -595,7 +671,8 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
             h = -m
         # Each point's loss, in point order: the row sums are those of the
         # per-point array (see the module docstring).
-        loss = h.take(inverse, axis=1).sum(axis=1) / n
+        loss = np.concatenate([_point_sums(h[i : i + loss_rows], inverse)
+                               for i in range(0, len(h), loss_rows)]) / n
         finite = np.isfinite(loss)
         if not finite.all():
             step = sum(map(len, losses)) + int(finite.argmin())
@@ -626,7 +703,8 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
             fitted = config.loss == "hinge" and not act.any()  # a zero loss
             if fitted or t == config.max_steps:
                 break
-            c, m, stepped = update(m[-1], act, min(max_rows, config.max_steps - t))
+            c, m, stepped = update(m[-1], act,
+                                   min(max_rows - unscored, config.max_steps - t))
         if unscored:
             score()
 

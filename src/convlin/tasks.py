@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 TASKS = ("cls", "1stctrl", "3rdctrl", "parity")
 
@@ -59,14 +59,26 @@ class Dataset:
         `signed`, a float count of the points that share each, and the
         (N,) index of each point's column, so that ``yx[:, inverse]`` is
         the signed design itself.  The points of a cls set share their
-        columns in pairs, and a drawn set repeats its points."""
+        columns in pairs, and a drawn set repeats its points.  The
+        columns are in lexicographic order of their positions, slot by
+        slot, then of their y * x values."""
         positions, yx = self.signed
-        columns, inverse, counts = np.unique(np.concatenate((positions, yx)), axis=1,
-                                             return_inverse=True, return_counts=True)
-        m = positions.shape[0]
-        # numpy 2.0.0 alone gives this inverse a leading axis of length 1.
-        return ((columns[:m].astype(np.intp, order="C"), columns[m:].copy()),
-                counts.astype(float), inverse.reshape(-1))
+        # One int64 key per column orders the columns as a sort of the
+        # columns themselves would: the positions in slot order, then the
+        # rank of each y * x value among all of them.
+        values, ranks = np.unique(yx, return_inverse=True)
+        if (self.d * len(values)) ** len(yx) > 2**63:
+            raise ShapeError(f"{len(yx)} nonzeros at d = {self.d} with {len(values)} "
+                             f"distinct values do not fit one int64 key")
+        key = np.zeros(len(self), dtype=np.int64)
+        for p in positions:
+            key = key * self.d + p
+        for r in ranks.reshape(yx.shape):
+            key = key * len(values) + r
+        _, first, inverse, counts = np.unique(key, return_index=True,
+                                              return_inverse=True, return_counts=True)
+        columns = tuple(np.ascontiguousarray(a[:, first]) for a in (positions, yx))
+        return columns, counts.astype(float), inverse
 
     @cached_property
     def mass(self):

@@ -8,7 +8,8 @@ point, the conv score and asymptotic margin through the explicit
 matrix, a conv model's effective weights through np.convolve, the
 limiting error of a degenerate training set one draw at a time, the
 limit estimate one training set at a time, the shift matrix one column
-at a time, and training one step at a time with the conv gradients one
+at a time, a dataset's distinct columns through a sort of the columns
+themselves, and training one step at a time with the conv gradients one
 lag at a time.  The package itself stores only each dataset's nonzeros,
 computes these through effective weights and the signed sparse design,
 trains on a training set's distinct columns and counts every error but
@@ -243,6 +244,19 @@ def shift_matrix_by_columns(x, k):
     for j in range(k):
         A[: d - j, j] = x[j:]
     return A
+
+
+def distinct_by_sort(data):
+    """`Dataset.distinct` through ``np.unique(..., axis=1)``, which sorts
+    the stacked [positions; y * x] columns of the signed design as one
+    structured view."""
+    positions, yx = data.signed
+    columns, inverse, counts = np.unique(np.concatenate((positions, yx)), axis=1,
+                                         return_inverse=True, return_counts=True)
+    m = positions.shape[0]
+    # numpy 2.0.0 alone gives this inverse a leading axis of length 1.
+    return ((columns[:m].astype(np.intp, order="C"), columns[m:].copy()),
+            counts.astype(float), inverse.reshape(-1))
 
 
 def write_traces_csv(traces, path):

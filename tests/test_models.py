@@ -14,8 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from convlin import models
 from convlin.errors import ConfigError, NumericalError
 from convlin.models import (
+    BLOCK_ELEMENTS,
     DEFAULT_ALPHA,
     RENORM_THRESHOLD,
     SMALL_KERNEL,
@@ -637,6 +639,36 @@ def assert_same_trace(a, b):
         assert_same_weights(u, v)
 
 
+def wrap_hinge_updates(monkeypatch, check):
+    """Wrap every hinge update so that ``check(weights, c, margins)``
+    sees the weights it advances and the effective weights and margins
+    of each batch of steps it returns."""
+
+    def wrap(make):
+        def made(weights, *args):
+            update = make(weights, *args)
+
+            def checked(m, act, steps):
+                c, margins, stepped = update(m, act, steps)
+                check(weights, c, margins)
+                return c, margins, stepped
+
+            return checked
+
+        return made
+
+    for model, make in list(models._HINGE_UPDATES.items()):
+        monkeypatch.setitem(models._HINGE_UPDATES, model, wrap(make))
+
+
+@pytest.fixture
+def hinge_steps(monkeypatch):
+    """The number of steps each hinge update takes, in call order."""
+    taken = []
+    wrap_hinge_updates(monkeypatch, lambda weights, c, margins: taken.append(len(c)))
+    return taken
+
+
 # (d, k) pairs: at d = 40, k = 10 the lag dots have lengths 31..40, which
 # a BLAS dot can group differently from one zero-padded length-40 dot.
 ORACLE_SHAPES = ((20, 3), (40, 10))
@@ -701,9 +733,11 @@ class TestScalarOracle:
     @pytest.mark.parametrize("with_eval", (False, True))
     def test_linear_blocks_at_scale(self, task, max_steps, with_eval, model):
         """d = 100, k = 5, n = 300: hundreds of steps, scored in batches
-        of up to 27 rows.  A 1layer cls run takes blocks of tens of steps
-        to zero loss.  The 3rdctrl active set changes at almost every
-        step, and its 9900-point whole set caps a batch at one row."""
+        of up to 78 rows on cls (81 for 1layer and fc), which 1layer and
+        conv runs take in blocks of tens of steps to zero loss.  The
+        3rdctrl set has 296 distinct columns, which cap a batch at 27
+        rows, its active set changes at almost every step, and its
+        9900-point whole set caps a batch at one row."""
         whole = whole_dataset(task, 100)
         tr = sample_training_set(whole, 300, np.random.default_rng(11))
         cfg = TrainConfig(loss="hinge", max_steps=max_steps)
@@ -762,6 +796,80 @@ class TestScalarOracle:
         assert got.stop_reason == "step-budget"
         assert_same_trace(got, want)
 
+    @staticmethod
+    def _conv_at_scale(max_steps=100_000, k=5, with_eval=True):
+        """A conv cls run at d = 100 and n = 300, against the oracle."""
+        whole = whole_dataset("cls", 100)
+        tr = sample_training_set(whole, 300, np.random.default_rng(11))
+        cfg = TrainConfig(loss="hinge", max_steps=max_steps)
+        eval_set = whole if with_eval else None
+        want = scalar_train("conv", tr, cfg, np.random.default_rng(12), k=k,
+                            eval_set=eval_set, record_weights=True)
+        got = train_drawn("conv", tr, cfg, np.random.default_rng(12), k=k,
+                          eval_set=eval_set, record_weights=True)
+        assert_same_trace(got, want)
+        return got
+
+    @pytest.mark.parametrize("max_steps,blocks", [
+        (1, [1]), (2, [2]), (37, [37]), (77, [77]), (100, [77, 23])])
+    def test_conv_budget_inside_block(self, max_steps, blocks, hinge_steps):
+        """With the whole set as eval set, a batch holds 78 rows, and the
+        active set holds from the start: the first block takes steps
+        1-77 (the batch's room after step 0) and the second goes on
+        until step 135.  These budgets end the run at the first step,
+        inside the first block, on its last row and inside the second."""
+        got = self._conv_at_scale(max_steps)
+        assert got.stop_reason == "step-budget"
+        assert hinge_steps == blocks
+
+    @pytest.mark.parametrize("with_eval", (False, True))
+    def test_conv_blocks_past_small_kernel(self, with_eval, hinge_steps):
+        """k = 20 > SMALL_KERNEL: each block's stacked collapse takes one
+        BLAS dot per entry.  The run fits in 520 steps, the first 67 in
+        one block."""
+        assert self._conv_at_scale(k=20, with_eval=with_eval).steps_run == 520
+        assert hinge_steps[0] == 67 and sum(n > 1 for n in hinge_steps) > 5
+
+    def test_conv_divergence_inside_block(self, hinge_steps):
+        """At alpha = 1e3 the active set holds from step 7 while the
+        weights overflow: the run raises at step 61, inside the block of
+        steps 7-83, with the oracle's message."""
+        whole = whole_dataset("cls", 20)
+        tr = sample_training_set(whole, 30, np.random.default_rng(5))
+        cfg = TrainConfig(loss="hinge", alpha=1e3)
+        with pytest.raises(NumericalError) as want:
+            scalar_train("conv", tr, cfg, np.random.default_rng(6), k=3,
+                         eval_set=whole)
+        with pytest.raises(NumericalError) as got:
+            train_drawn("conv", tr, cfg, np.random.default_rng(6), k=3, eval_set=whole)
+        assert str(got.value) == str(want.value)
+        assert "the loss at step 61 is not finite" in str(got.value)
+        assert hinge_steps == [1] * 6 + [77]
+
+    @pytest.mark.parametrize("model", ("1layer", "conv", "fc"))
+    def test_loss_chunks(self, model, monkeypatch):
+        """cls at d = 20 and n = 2000: a batch holds up to 356 rows
+        (8192 // 23 for conv, 409 for 1layer and fc), so each of these
+        runs, of 113-292 steps, is scored in one batch, but its losses
+        are summed in chunks of 8192 // 2000 = 4 rows."""
+        chunks = []
+        point_sums = models._point_sums
+
+        def chunked(h, inverse):
+            chunks.append(len(h))
+            return point_sums(h, inverse)
+
+        monkeypatch.setattr(models, "_point_sums", chunked)
+        whole = whole_dataset("cls", 20)
+        tr = sample_training_set(whole, 2000, np.random.default_rng(13))
+        cfg = TrainConfig(loss="hinge")
+        want = scalar_train(model, tr, cfg, np.random.default_rng(14), k=3,
+                            eval_set=whole, record_weights=True)
+        got = train_drawn(model, tr, cfg, np.random.default_rng(14), k=3,
+                          eval_set=whole, record_weights=True)
+        assert_same_trace(got, want)
+        assert max(chunks) == 4 and 8 < sum(chunks) == got.steps_run + 1 <= 356
+
     @pytest.mark.parametrize("d,k", ORACLE_SHAPES)
     @pytest.mark.parametrize("alpha,max_steps,rescales", [
         (0.7, 1000, 1), (1e30, 300, 75), (1e200, 200, 200)])
@@ -780,12 +888,13 @@ class TestScalarOracle:
         assert_same_trace(got, want)
 
     @pytest.mark.parametrize("alpha", (0.1, 1e30, 1e200))
-    @pytest.mark.parametrize("max_steps", (1, 2, 37, 81, 82))
+    @pytest.mark.parametrize("max_steps", (1, 2, 37, 77, 78, 81, 82))
     def test_xhinge_budget_inside_block(self, alpha, max_steps):
-        """At d = 100 and n = 30, with the 200-point whole set, of 100
-        distinct columns, as eval set, a batch holds 81 rows: these
-        budgets end the run inside the first batch, on its last row or
-        on the first row of the second, with or without rescales."""
+        """At d = 100, k = 5 and n = 30, with the 200-point whole set, of
+        100 distinct columns, as eval set, a batch holds 78 rows, as many
+        as fit rows of k + d = 105: these budgets end the run inside the
+        first block (steps 1-77), on its last row, on the first row of
+        the second or inside it, with or without rescales."""
         whole = whole_dataset("cls", 100)
         tr = sample_training_set(whole, 30, np.random.default_rng(11))
         cfg = TrainConfig(loss="xhinge", alpha=alpha, max_steps=max_steps)
@@ -821,8 +930,8 @@ class TestScalarOracle:
 
     @staticmethod
     def _d100_sets():
-        """d = 100 and n = 30 with the whole set as eval set: each block
-        holds 81 rows, steps 1-81, 82-162 and so on."""
+        """d = 100 and n = 30 with the whole set as eval set: each batch
+        holds 78 rows, and the blocks take steps 1-77, 78-155 and so on."""
         whole = whole_dataset("cls", 100)
         return whole, sample_training_set(whole, 30, np.random.default_rng(11))
 
@@ -852,10 +961,10 @@ class TestScalarOracle:
         w0 = ConvWeights(w1=w0.w1 * scale, w2=w0.w2 * scale)
         self._assert_matches_at_d100(w0, 5.0, 100, first_rescale=5)
 
-    @pytest.mark.parametrize("last_row", (40, 80, 81, 162))
+    @pytest.mark.parametrize("last_row", (40, 77, 80, 81, 155, 162))
     def test_xhinge_rescale_on_last_row(self, last_row):
         """The init is scaled so that the first rescale falls on the last
-        row of the first or the second block (81, 162), or inside them."""
+        row of the first or the second block (77, 155), or inside them."""
         _, tr = self._d100_sets()
         rng = np.random.default_rng(6)
         w0 = ConvWeights(w1=rng.standard_normal(5), w2=rng.standard_normal(100))
@@ -930,6 +1039,51 @@ class TestScalarOracle:
             train_drawn(model, tr, cfg, np.random.default_rng(4), k=3,
                         eval_set=whole)
         assert str(got.value) == str(want.value)
+
+
+class TestBlockCap:
+    """No array that holds or scores a batch of steps has more than
+    BLOCK_ELEMENTS elements: no block of weights, no margins array and
+    no loss chunk."""
+
+    @pytest.mark.parametrize("model", ("1layer", "conv", "fc"))
+    @pytest.mark.parametrize("task,n,with_eval", [
+        ("cls", 300, False), ("cls", 300, True), ("3rdctrl", 500, False)])
+    def test_batch_arrays_within_cap(self, model, task, n, with_eval, monkeypatch):
+        """cls at n = 300 (a conv block holds up to 78 rows of 105) and
+        3rdctrl at n = 500, whose about 490 distinct columns cap a batch
+        at 16 rows; each conv and 1layer run takes blocks.  A 3rdctrl
+        1layer run stops at its 3000-step budget."""
+        sizes, blocks = [], []
+
+        def check(weights, c, margins):
+            # A conv block holds its [w1 | w2] rows, a one-layer block its
+            # weight rows, which are its effective weights.
+            width = sum(w.shape[-1] for w in vars(weights).values() if w.ndim == 1)
+            sizes.extend((len(c) * width, c.size, margins.size))
+            blocks.append(len(c))
+
+        wrap_hinge_updates(monkeypatch, check)
+        point_sums, design_margins = models._point_sums, models._design_margins
+
+        def point_sums_checked(h, inverse):
+            sizes.append(h.shape[0] * inverse.shape[0])
+            return point_sums(h, inverse)
+
+        def design_margins_checked(c, design):
+            m = design_margins(c, design)
+            sizes.append(m.size)
+            return m
+
+        monkeypatch.setattr(models, "_point_sums", point_sums_checked)
+        monkeypatch.setattr(models, "_design_margins", design_margins_checked)
+        whole = whole_dataset(task, 100)
+        tr = sample_training_set(whole, n, np.random.default_rng(15))
+        eval_set = whole if with_eval else None
+        train_drawn(model, tr, TrainConfig(loss="hinge", max_steps=3000),
+                    np.random.default_rng(16), k=5, eval_set=eval_set)
+        assert max(sizes) <= BLOCK_ELEMENTS
+        assert (max(blocks) > 1) == (model != "fc")
 
 
 def _per_element_rows(trace):

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from convlin.errors import ConfigError
+from convlin.errors import ConfigError, ShapeError
 from convlin.tasks import TASKS, Dataset, sample_training_set, whole_dataset
-from oracles import dense, dense_points, separator_witness, signed_shift_matrix
+from oracles import (
+    dense,
+    dense_points,
+    distinct_by_sort,
+    separator_witness,
+    signed_shift_matrix,
+)
 
 ALL_TASK_DIMS = [("cls", 7), ("cls", 100), ("1stctrl", 4), ("1stctrl", 100),
                  ("3rdctrl", 5), ("3rdctrl", 30), ("parity", 5), ("parity", 100)]
@@ -224,6 +230,38 @@ class TestDistinct:
             np.testing.assert_array_equal(np.bincount(inverse), counts)
         assert one.distinct[1].tolist() == [40.0]
         assert third.distinct[1].shape == (len(third),)
+
+    def test_matches_a_sort_of_the_columns(self):
+        """The one-key `distinct` gives the columns, their order, the
+        counts and the column index of a sort of the stacked columns bit
+        for bit: on every set above, on drawn sets of 300, and on sets of
+        two nonzeros whose values are not +-1, some of them shared."""
+        rng = np.random.default_rng(9)
+        wholes = [whole_dataset(task, d) for task, d in ALL_TASK_DIMS]
+        odd = [Dataset(task="3rdctrl", d=6, positions=rng.integers(0, 6, (n, 2)),
+                       values=rng.choice([-2.5, -1.0, 0.5, 1.0, 3.0], (n, 2)),
+                       y=rng.choice([-1, 1], n))
+               for n in (1, 40, 500)]
+        for ds in (*self._sets(), *(sample_training_set(w, 300, rng) for w in wholes),
+                   *odd):
+            (positions, yx), counts, inverse = ds.distinct
+            (want_positions, want_yx), want_counts, want_inverse = distinct_by_sort(ds)
+            for got, want in ((positions, want_positions), (yx, want_yx),
+                              (counts, want_counts), (inverse, want_inverse)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert len(odd[2].distinct[1]) < 500
+
+    def test_refuses_a_key_past_int64(self):
+        """Two nonzeros at d = 2**20 with 2**12 distinct values make
+        (2**32)**2 keys, more than int64 holds."""
+        n = 2**11
+        ds = Dataset(task="3rdctrl", d=2**20, positions=np.zeros((n, 2), dtype=np.intp),
+                     values=np.arange(2.0, 2 * n + 2).reshape(n, 2), y=np.ones(n, np.int64))
+        with pytest.raises(ShapeError, match="do not fit one int64 key"):
+            ds.distinct
+        ds.d = 2**19
+        assert len(ds.distinct[1]) == n
 
     def test_cls_points_share_columns_in_pairs(self):
         """+e_l labelled +1 and -e_l labelled -1 have the same signed
