@@ -45,8 +45,8 @@ from .models import (
     effective_weights,
     error_from_margins,
     init_weights,
-    margins,
     train,
+    weight_error,
 )
 from .shift import (
     shift_matrix,

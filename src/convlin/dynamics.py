@@ -27,13 +27,14 @@ averaged over random draws of w1(0) instead.
 The draws of a degenerate set are one (draws, k) block from the
 generator, which gives the values and leaves the generator state that
 as many draws of size k would.  Their limits are scored as one block:
-one (draws, d) array of effective weights, one margins gather, one tie
-tolerance per (draw, point) and one error count, with each row scored
-exactly as it would be alone.  A single limit is the one-row case of
-the same scorer.  Each draw still decomposes the training average
-again in `asymptotic_weights`: the benchmark counts one `thin_svd` per
-draw, and passing one decomposition down waits for that count to
-change.
+one (draws, d) array of effective weights, one margins gather on the
+whole dataset's distinct columns, one tie tolerance per (draw, column)
+and one error count, with each row scored exactly as it would be alone.
+A single limit is the one-row case of the same scorer,
+`models.weight_error`, which counts every whole-dataset error.  Each
+draw still decomposes the training average again in
+`asymptotic_weights`: the benchmark counts one `thin_svd` per draw, and
+passing one decomposition down waits for that count to change.
 
 The Monte-Carlo estimate scores its simple sets in capped blocks too.
 Each set draws only from its own child generator, so scoring a simple
@@ -61,6 +62,7 @@ ZERO_MARGIN_FRAC = 1e-12
 # closed form refuses to evaluate.
 _OVERFLOW_LIMIT = 1e290
 
+# The draws of w1(0) whose mean limiting error scores a degenerate set.
 DEFAULT_DEGENERATE_DRAWS = 64
 
 
@@ -139,19 +141,9 @@ def _tie_scale(aw):
     return ZERO_MARGIN_FRAC * math.sqrt(w1.dot(w1)) * math.sqrt(w2.dot(w2))
 
 
-def _limit_errors(c, scale, dataset):
-    """Whole-dataset error of the effective weights c, one (d,) row or a
-    (rows, d) block, with every margin of size at most ``scale`` times
-    the point's input mass scored as a tie (half credit).  ``scale`` is
-    a number for one row and a (rows, 1) column for a block, and every
-    row of a block is scored exactly as it would be alone."""
-    return models.error_from_margins(models.weight_margins(c, dataset),
-                                     zero_tol=scale * dataset.mass)
-
-
 def _limit_row(aw):
     """The effective weights and the tie scale of asymptotic weights:
-    one row of a block for `_limit_errors`."""
+    one row of a block for `models.weight_error`."""
     return models.conv_collapse(aw.w1, aw.w2), _tie_scale(aw)
 
 
@@ -161,15 +153,16 @@ def _top_pair_weights(dec):
     return AsymptoticWeights(w1=v, w2=u, m=1)
 
 
-def _degenerate_error(whole, mtr, k, rng, draws):
-    """Mean limiting error over ``draws`` standard-normal inits w1(0),
-    drawn as one (draws, k) block and scored as one block."""
+def _degenerate_error(whole, mtr, k, rng):
+    """Mean limiting error over DEFAULT_DEGENERATE_DRAWS standard-normal
+    inits w1(0), drawn as one (draws, k) block and scored as one block."""
+    draws = DEFAULT_DEGENERATE_DRAWS
     c = np.empty((draws, whole.d))
     scale = np.empty((draws, 1))
     for i, w1_0 in enumerate(rng.standard_normal((draws, k))):
         # Each draw still decomposes mtr again.
         c[i], scale[i] = _limit_row(asymptotic_weights(w1_0, mtr))
-    errors = _limit_errors(c, scale, whole)
+    errors = models.weight_error(c, whole, scale)
     # Added in draw order; np.sum would add pairwise and round apart.
     return float(np.cumsum(errors)[-1]) / draws
 
@@ -187,28 +180,26 @@ def asymptotic_error(aw, dataset):
     error is that at any ordinary scale, bit for bit, and a tiny init's
     effective weights do not underflow to a tie."""
     aw = AsymptoticWeights(w1=_unit_scaled(aw.w1), w2=_unit_scaled(aw.w2), m=aw.m)
-    return float(_limit_errors(*_limit_row(aw), dataset))
+    c, scale = _limit_row(aw)
+    return float(models.weight_error(c, dataset, scale))
 
 
-def asymptotic_error_for_trainset(whole, tr, k, rng,
-                                  degenerate_draws=DEFAULT_DEGENERATE_DRAWS):
+def asymptotic_error_for_trainset(whole, tr, k, rng):
     """Limiting error for one training set.
 
     With a simple top singular value the error is evaluated directly on
     the sign-fixed top pair (the init drops out).  A degenerate top
-    value falls back to the mean error over ``degenerate_draws``
+    value falls back to the mean error over DEFAULT_DEGENERATE_DRAWS
     standard-normal draws of w1(0) from ``rng``, the only case that
     reads it.  The draws are one (draws, k) block, which advances the
     rng exactly as that many draws of size k would, and their limits
     are scored as one block.  Returns ``(error, was_degenerate)``.
     """
-    if degenerate_draws < 1:
-        raise ValueError(f"degenerate_draws must be >= 1, got {degenerate_draws}")
     mtr = training_average(tr, k)
     dec = thin_svd(mtr)
     if dec.m == 1:
         return asymptotic_error(_top_pair_weights(dec), whole), False
-    return _degenerate_error(whole, mtr, k, rng, degenerate_draws), True
+    return _degenerate_error(whole, mtr, k, rng), True
 
 
 @dataclass
@@ -220,8 +211,7 @@ class AsymptoticErrorEstimate:
     trial_errors: np.ndarray
 
 
-def asymptotic_error_estimate(whole, n, k, trials, rng,
-                              degenerate_draws=DEFAULT_DEGENERATE_DRAWS):
+def asymptotic_error_estimate(whole, n, k, trials, rng):
     """Monte-Carlo mean of the limiting error over random training sets.
 
     Each trial draws its own training set of size n (from a child rng,
@@ -229,21 +219,20 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
     training average is identically zero is redrawn and counted; this
     cannot happen on the built-in tasks.  Every set is decomposed once.
     A simple set's limit is held as one row of a block capped at
-    ``models.BLOCK_ELEMENTS`` margins (40 rows on cls at d = 100), and a
-    full block, then the rest, is scored in one call; each row scores
-    as it would alone.  A degenerate set is scored when it is drawn,
+    ``models.BLOCK_ELEMENTS`` margins, one per distinct column of the
+    whole dataset (81 rows on cls at d = 100, whose 200 points share 100
+    columns), and a full block, then the rest, is scored in one call;
+    each row scores as it would alone.  A degenerate set is scored when it is drawn,
     with one decomposition per draw of w1(0), as in
     `asymptotic_error_for_trainset`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if degenerate_draws < 1:
-        raise ValueError(f"degenerate_draws must be >= 1, got {degenerate_draws}")
     errors = np.empty(trials)
     degenerate = 0
     resamples = 0
     # Simple sets wait in a block of at most BLOCK_ELEMENTS margins.
-    rows = min(trials, max(1, models.BLOCK_ELEMENTS // len(whole)))
+    rows = min(trials, max(1, models.BLOCK_ELEMENTS // len(whole.distinct[1])))
     c = np.empty((rows, whole.d))
     scale = np.empty((rows, 1))
     index = np.empty(rows, dtype=np.intp)
@@ -259,17 +248,17 @@ def asymptotic_error_estimate(whole, n, k, trials, rng,
             raise NumericalError("training average cancelled to zero repeatedly")
         dec = thin_svd(mtr)
         if dec.m > 1:
-            errors[i] = _degenerate_error(whole, mtr, k, child, degenerate_draws)
+            errors[i] = _degenerate_error(whole, mtr, k, child)
             degenerate += 1
             continue
         c[held], scale[held] = _limit_row(_top_pair_weights(dec))
         index[held] = i
         held += 1
         if held == rows:
-            errors[index] = _limit_errors(c, scale, whole)
+            errors[index] = models.weight_error(c, whole, scale)
             held = 0
     if held:
-        errors[index[:held]] = _limit_errors(c[:held], scale[:held], whole)
+        errors[index[:held]] = models.weight_error(c[:held], whole, scale[:held])
     stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return AsymptoticErrorEstimate(
         mean=float(errors.mean()),

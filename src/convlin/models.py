@@ -15,16 +15,18 @@ full-batch gradient is constant in the weights, so conv training reduces
 to two matrix products with the training average.  Layer updates are
 always simultaneous: both gradients are evaluated at the old weights.
 
-Every dataset is scored through its signed sparse design,
-`Dataset.signed`: the positions and the y * x values of each point's
-nonzeros, built once per dataset, or through that design's distinct
-columns, `Dataset.distinct`, with the number of points that share each
-column and each point's column index.  A whole cls set has 2d points
-and d distinct columns, and a drawn cls set of any size at most d, as
-every y * x is some e_l.  `train` and `classification_error` read the
-distinct columns, `margins` every point, and one counter,
-`error_from_margins`, gives every error: those of the training loop, of
-`classification_error` and of the limiting classifier.
+Every dataset is scored on the distinct columns of its signed sparse
+design, `Dataset.distinct`: the positions and the y * x values of the
+nonzeros of the points, each column once, built once per dataset, with
+the number of points that share each column and each point's column
+index.  A whole cls set has 2d points and d distinct columns, and a
+drawn cls set of any size at most d, as every y * x is some e_l.  One
+counter, `error_from_margins`, gives every error from the margins and
+counts of the columns, and one scorer, `weight_error`, every
+whole-dataset error of effective weights: those of
+`classification_error`, of `train`'s eval set and of the limiting
+classifier, whose tie band is a multiple of each column's input mass,
+`Dataset.mass`.
 
 One loop in `train` runs every model and loss from the weights it is
 handed, drawing nothing, and each supplies only its update.  The loop
@@ -41,8 +43,7 @@ scores a batch passes BLOCK_ELEMENTS only where one row does.  It
 scores the losses as row sums of the per-point losses, which a take
 through the column index expands from the columns, a chunk of rows at
 a time, the errors as one product of the signs with the column counts,
-the eval errors from one gather of the stacked c on the eval set's
-distinct columns and the same product with its counts, and it raises
+the eval errors as one `weight_error` of the stacked c, and it raises
 at the first step whose loss is not finite.
 
 The fc hinge update takes one step per call; the one-layer and conv
@@ -132,7 +133,8 @@ row sums of a Fortran-ordered array would add its columns one after
 another, a sequential sum, and a sum of each column's loss times its
 count rounds differently again.  An error on the distinct columns is
 exact: the weighted sum of signs is an integer, exact in any summation
-order.
+order, and a column's tie band is that of each of its points, whose
+|x| entries it shares.
 """
 
 import math
@@ -319,25 +321,11 @@ def conv_collapse(w1, w2):
     return c
 
 
-def margins(weights, data):
-    """The margins y * f(x) of a model on every point of a Dataset."""
-    return weight_margins(effective_weights(weights), data)
-
-
-def weight_margins(c, data):
-    """The margins y * c @ x on every point of a Dataset of the effective
-    weights c, a (d,) row, or of each row of a (rows, d) block c, which
-    gives a C-ordered (rows, N) array."""
-    # A sum of at most two finite terms that overflows keeps its sign,
-    # so every error read from these margins is still right.
-    with np.errstate(over="ignore"):
-        return _design_margins(c, data.signed)
-
-
 def _design_margins(c, design):
     """Margins on a signed design of the weight vector c, or of each row
     of a (rows, d) stack c: the sum over slots of yx * c[positions],
-    added slot by slot.  A stack gives a C-ordered (rows, N) array."""
+    added slot by slot, one margin per column of the design.  A stack
+    gives a C-ordered (rows, columns) array."""
     positions, yx = design
     prod = yx * c.take(positions, axis=-1)
     m = prod[..., 0, :]
@@ -346,35 +334,44 @@ def _design_margins(c, design):
     return m
 
 
-def error_from_margins(m, zero_tol=None, counts=None):
-    """Classification error along the last axis of the margins m, with
+def error_from_margins(m, counts, zero_tol=None):
+    """Classification error along the last axis of the margins m, where
+    margin i stands for counts[i] points, as on `Dataset.distinct`, with
     the half-credit zero rule.
 
     A negative margin counts 1, a zero margin 1/2, and a positive or NaN
-    margin 0.  With ``zero_tol`` given, which may be a per-point array,
-    every margin within +-zero_tol counts 1/2.  With ``counts`` given,
-    margin i stands for counts[i] points, as on `Dataset.distinct`.  The
-    count is one exact sum: with a tie's sign taken as 0 and a NaN sign
-    as 1, n - sum(sign m * counts) is the integer 2 * wrong + tied."""
+    margin 0.  With ``zero_tol`` given, which may be an array of one
+    tolerance per margin, every margin within +-zero_tol counts 1/2.
+    The count is one exact sum: with a tie's sign taken as 0 and a NaN
+    sign as 1, n - sum(sign m * counts) is the integer 2 * wrong + tied."""
     m = np.asarray(m, dtype=float)
     sign = np.sign(m)
     if zero_tol is not None:
         sign[np.abs(m) <= zero_tol] = 0.0
     np.fmin(sign, 1.0, out=sign)
-    if counts is None:
-        n, signs = m.shape[-1], sign.sum(axis=-1)
-    else:
-        n, signs = counts.sum(), sign @ counts
-    return (n - signs) / (2 * n)
+    n = counts.sum()
+    return (n - sign @ counts) / (2 * n)
+
+
+def weight_error(c, data, tie_scale=None):
+    """Whole-dataset error of the effective weights c, a (d,) row or a
+    (rows, d) stack, counted over the dataset's distinct columns.  With
+    ``tie_scale`` given, a number for a row and a (rows, 1) column for a
+    stack, every margin within tie_scale times its column's input mass
+    counts as a tie.  Each row of a stack is scored as it would be
+    alone."""
+    design, counts, _ = data.distinct
+    # A sum of at most two finite terms that overflows keeps its sign,
+    # so every error read from these margins is still right.
+    with np.errstate(over="ignore"):
+        m = _design_margins(c, design)
+    tol = None if tie_scale is None else tie_scale * data.mass
+    return error_from_margins(m, counts, tol)
 
 
 def classification_error(weights, dataset):
-    """Mean error of a model over a dataset (ties count half), counted
-    over the dataset's distinct columns."""
-    design, counts, _ = dataset.distinct
-    with np.errstate(over="ignore"):
-        m = _design_margins(effective_weights(weights), design)
-    return float(error_from_margins(m, counts=counts))
+    """Mean error of a model over a dataset (ties count half)."""
+    return float(weight_error(effective_weights(weights), dataset))
 
 
 def init_weights(model, d, k, config, rng):
@@ -640,10 +637,8 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
     if config.loss == "xhinge" and model != "conv":
         raise ConfigError("extreme-hinge training is defined for the conv model")
     weights = initial.copy()
-    # The training set is held on its distinct signed columns, and so are
-    # the eval set's errors counted.
+    # The training set is held on its distinct signed columns.
     design, counts, inverse = tr.distinct
-    eval_design, eval_counts, _ = (None,) * 3 if eval_set is None else eval_set.distinct
     n, d = len(tr), tr.d
     rescales = []
     if config.loss == "hinge":
@@ -651,8 +646,8 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
         update = _HINGE_UPDATES[model](weights, design, weighted, config.alpha / n)
     else:
         update = _conv_xhinge(weights, design, config.alpha, tr, rescales)
-    width = max(d + (weights.w1.shape[0] if model == "conv" else 0), design[0].shape[1],
-                0 if eval_design is None else eval_design[1].shape[1])
+    width = max(d + (weights.w1.shape[0] if model == "conv" else 0), len(counts),
+                0 if eval_set is None else len(eval_set.distinct[1]))
     max_rows = max(1, BLOCK_ELEMENTS // width)
     loss_rows = max(1, BLOCK_ELEMENTS // n)
     losses, terrs, eerrs = [], [], []
@@ -678,10 +673,9 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
             step = sum(map(len, losses)) + int(finite.argmin())
             raise _diverged(model, config, f"the loss at step {step} is not finite")
         losses.append(loss)
-        terrs.append(error_from_margins(m, counts=counts))
-        if eval_design is not None:
-            eerrs.append(error_from_margins(_design_margins(c, eval_design),
-                                            counts=eval_counts))
+        terrs.append(error_from_margins(m, counts))
+        if eval_set is not None:
+            eerrs.append(weight_error(c, eval_set))
 
     # A step whose loss is not finite is found when the steps are scored,
     # in order, before any later stop takes effect; the steps past it only

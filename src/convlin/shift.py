@@ -64,8 +64,10 @@ def training_average(tr, k):
     n = len(tr)
     if n == 0:
         raise ValueError("training set is empty")
-    positions, yx = tr.signed
-    mean_vec = np.bincount(positions.ravel(), weights=yx.ravel(), minlength=tr.d)
+    # On every task each y * x value is +-1, so each bin is an exact
+    # integer sum in any order.
+    yx = tr.y[:, None] * tr.values
+    mean_vec = np.bincount(tr.positions.ravel(), weights=yx.ravel(), minlength=tr.d)
     mean_vec /= n
     M = shift_matrix(mean_vec, k)
     # Every entry of M is an entry of mean_vec or a zero pad.

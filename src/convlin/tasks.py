@@ -31,11 +31,11 @@ class Dataset:
     Only the nonzeros are stored: ``positions``/``values`` are (N, m)
     arrays (m = 1 or 2 nonzeros per point, 0-based positions), and ``y``
     holds the labels.  Every margin and error is read from the cached
-    signed design, `signed`, or from its distinct columns, `distinct`,
-    and every tie tolerance from the cached per-point `mass`.  Training
-    and every error without a tie tolerance read the distinct columns,
-    and a value needed per point, such as a loss, is expanded through
-    the column index that `distinct` gives each point.
+    distinct columns of the signed design, `distinct`, each standing for
+    the points that share it, and every tie tolerance from the cached
+    input `mass` of each column.  A value needed per point, such as a
+    loss, is expanded through the column index that `distinct` gives
+    each point.
     """
 
     task: str
@@ -48,21 +48,16 @@ class Dataset:
         return self.y.shape[0]
 
     @cached_property
-    def signed(self):
-        """The signed sparse design: C-ordered (m, N) arrays of the
-        positions and of the y * x values, one row per nonzero slot."""
-        return self.positions.T.copy(), (self.y[:, None] * self.values).T.copy()
-
-    @cached_property
     def distinct(self):
-        """The distinct columns of the signed design, in the layout of
-        `signed`, a float count of the points that share each, and the
-        (N,) index of each point's column, so that ``yx[:, inverse]`` is
-        the signed design itself.  The points of a cls set share their
-        columns in pairs, and a drawn set repeats its points.  The
-        columns are in lexicographic order of their positions, slot by
-        slot, then of their y * x values."""
-        positions, yx = self.signed
+        """The distinct columns of the signed design, C-ordered (m, u)
+        arrays of the positions and of the y * x values, one row per
+        nonzero slot; a float count of the points that share each; and
+        the (N,) index of each point's column, so that ``yx[:, inverse]``
+        is the signed design of every point.  The points of a cls set
+        share their columns in pairs, and a drawn set repeats its points.
+        The columns are in lexicographic order of their positions, slot
+        by slot, then of their y * x values."""
+        positions, yx = self.positions.T, (self.y[:, None] * self.values).T
         # One int64 key per column orders the columns as a sort of the
         # columns themselves would: the positions in slot order, then the
         # rank of each y * x value among all of them.
@@ -82,8 +77,9 @@ class Dataset:
 
     @cached_property
     def mass(self):
-        """Each point's input mass, the sum of its |x| entries."""
-        return np.abs(self.signed[1]).sum(axis=0)
+        """The input mass of each distinct column, the sum of its |x|
+        entries."""
+        return np.abs(self.distinct[0][1]).sum(axis=0)
 
 
 def _check_task_d(task, d):

@@ -1,25 +1,25 @@
 """Reference paths the tests check the package against.
 
 Each computes one quantity the slow, literal way: a dense view of a
-dataset and a dense forward pass, point-major margins and an error
-counted with masks, the hinge loss as a plain mean, the signed shift
-matrix of one point and the training average built from it point by
-point, the conv score and asymptotic margin through the explicit
-matrix, a conv model's effective weights through np.convolve, the
-limiting error of a degenerate training set one draw at a time, the
-limit estimate one training set at a time, the shift matrix one column
-at a time, a dataset's distinct columns through a sort of the columns
-themselves, and training one step at a time with the conv gradients one
-lag at a time.  The package itself stores only each dataset's nonzeros,
-computes these through effective weights and the signed sparse design,
-trains on a training set's distinct columns and counts every error but
-the limit's tie-tolerant one over distinct columns, scores a
-degenerate set's draws and an estimate's simple sets in blocks, and
-gathers a shift matrix through one index.  The traces sidecar
-is written here row by row through csv.writer.  A separating weight
-vector per task, the mean test error and the summary values of result
-rows, and training from a drawn init are here too, as only the tests
-read them.
+dataset and a dense forward pass, the signed design of every point,
+point-major margins and an error counted with masks, a whole-dataset
+error point by point with each point's own input mass, the hinge loss
+as a plain mean, the signed shift matrix of one point and the training
+average built from it point by point, the conv score and asymptotic
+margin through the explicit matrix, a conv model's effective weights
+through np.convolve, the limiting error of a degenerate training set
+one draw at a time, the limit estimate one training set at a time, the
+shift matrix one column at a time, a dataset's distinct columns through
+a sort of the columns themselves, and training one step at a time with
+the conv gradients one lag at a time.  The package itself stores only
+each dataset's nonzeros, computes these through effective weights and
+scores every margin and error on the distinct columns of the signed
+sparse design, scores a degenerate set's draws and an estimate's simple
+sets in blocks, and gathers a shift matrix through one index.  The
+traces sidecar is written here row by row through csv.writer.  A
+separating weight vector per task, the mean test error and the summary
+values of result rows, and training from a drawn init are here too, as
+only the tests read them.
 """
 
 import csv
@@ -42,9 +42,7 @@ from convlin.models import (
     ConvWeights,
     TrainTrace,
     effective_weights,
-    error_from_margins,
     init_weights,
-    margins,
     train,
 )
 from convlin.shift import shift_matrix, training_average
@@ -133,6 +131,12 @@ def forward(weights, x):
     return float(oracle_weights(weights) @ np.asarray(x, dtype=float))
 
 
+def signed_design(data):
+    """The signed design of every point: C-ordered (m, N) arrays of the
+    positions and of the y * x values, one row per nonzero slot."""
+    return data.positions.T.copy(), (data.y[:, None] * data.values).T.copy()
+
+
 def point_margins(weights, data):
     """Margins point by point: each point's score, the sum of its
     values times the gathered weights, times its label."""
@@ -148,6 +152,14 @@ def error_rate(m, zero_tol=0.0):
     wrong = m < -zero_tol
     tied = np.abs(m) <= zero_tol
     return float(np.mean(wrong + 0.5 * tied))
+
+
+def point_error(weights, data, tie_scale=0.0):
+    """Whole-dataset error point by point: each point's margin from
+    `point_margins`, a tie band of ``tie_scale`` times the point's own
+    input mass, the sum of its |x| entries, and a masked count."""
+    mass = np.abs(data.values).sum(axis=1)
+    return error_rate(point_margins(weights, data), tie_scale * mass)
 
 
 def hinge_loss(weights, tr):
@@ -186,13 +198,11 @@ def asymptotic_margin(point, aw, k=None):
 
 def asymptotic_error_alone(aw, dataset):
     """Whole-dataset error of one set of asymptotic weights, scored on
-    its own: its margins, a tie tolerance from ``np.linalg.norm`` of
-    each weight vector times each point's input mass recomputed from
-    the design, and one error count."""
-    tol = (ZERO_MARGIN_FRAC * np.linalg.norm(aw.w1) * np.linalg.norm(aw.w2)
-           * np.abs(dataset.signed[1]).sum(axis=0))
-    return float(error_from_margins(margins(ConvWeights(aw.w1, aw.w2), dataset),
-                                    zero_tol=tol))
+    its own and point by point: `point_error` with the tie scale
+    ``ZERO_MARGIN_FRAC`` times ``np.linalg.norm`` of each weight
+    vector."""
+    scale = ZERO_MARGIN_FRAC * np.linalg.norm(aw.w1) * np.linalg.norm(aw.w2)
+    return point_error(ConvWeights(aw.w1, aw.w2), dataset, scale)
 
 
 def degenerate_error_per_draw(whole, mtr, k, rng, draws):
@@ -206,7 +216,7 @@ def degenerate_error_per_draw(whole, mtr, k, rng, draws):
     return total / draws
 
 
-def estimate_per_set(whole, n, k, trials, rng, degenerate_draws=64):
+def estimate_per_set(whole, n, k, trials, rng):
     """`asymptotic_error_estimate` one training set at a time: each
     child rng draws its set, redrawing a zero average, and the set is
     scored on its own through `asymptotic_error_for_trainset`."""
@@ -221,8 +231,7 @@ def estimate_per_set(whole, n, k, trials, rng, degenerate_draws=64):
             resamples += 1
         else:
             raise NumericalError("training average cancelled to zero repeatedly")
-        errors[i], was_degenerate = asymptotic_error_for_trainset(
-            whole, tr, k, rng=child, degenerate_draws=degenerate_draws)
+        errors[i], was_degenerate = asymptotic_error_for_trainset(whole, tr, k, rng=child)
         degenerate += was_degenerate
     stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return AsymptoticErrorEstimate(
@@ -250,7 +259,7 @@ def distinct_by_sort(data):
     """`Dataset.distinct` through ``np.unique(..., axis=1)``, which sorts
     the stacked [positions; y * x] columns of the signed design as one
     structured view."""
-    positions, yx = data.signed
+    positions, yx = signed_design(data)
     columns, inverse, counts = np.unique(np.concatenate((positions, yx)), axis=1,
                                          return_inverse=True, return_counts=True)
     m = positions.shape[0]

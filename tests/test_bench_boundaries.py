@@ -4,11 +4,13 @@ Every benchmark worker verifies `layers.BOUNDARIES` before it runs,
 traced or not, so a renamed, dropped or aliased function at a traced
 boundary (``dynamics.thin_svd`` or ``dynamics.sample_training_set``,
 say) would stop every benchmark run.  The traced training calls must
-also keep the argument positions that the benchmark's tags read.  The
-package itself imports nothing from the benchmark.
+also keep the argument positions that the benchmark's tags read, and
+every ``convlin.<module>.<name>`` the workloads and layers read must
+still resolve.  The package itself imports nothing from the benchmark.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,24 @@ def bench_modules(monkeypatch):
 def test_boundaries_resolve(bench_modules):
     layers, spans = bench_modules
     spans.verify(layers.BOUNDARIES)
+
+
+def test_bench_reads_resolve():
+    """Every ``convlin.<module>.<name>`` that bench/workloads.py and
+    bench/layers.py read names a module attribute, so that a rename
+    fails here and not only inside a benchmark run."""
+    reads = set()
+    for name in ("workloads.py", "layers.py"):
+        for node in ast.walk(ast.parse((ROOT / "bench" / name).read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id == "convlin"):
+                reads.add((node.value.attr, node.attr))
+    assert {("dynamics", "DEFAULT_DEGENERATE_DRAWS"),
+            ("theory", "coverage_term_exact")} <= reads
+    for module, attr in sorted(reads):
+        assert hasattr(importlib.import_module(f"convlin.{module}"), attr), \
+            f"convlin.{module}.{attr}"
 
 
 def test_train_tag_reads_every_call(bench_modules, monkeypatch):

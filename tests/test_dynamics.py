@@ -237,28 +237,17 @@ class TestTrainsetError:
             assert asymptotic_error(aw, cls100) == pytest.approx(err,
                                                                  abs=1e-12)
 
-    def test_degenerate_single_sample_matches_oracle(self, cls100):
+    def test_degenerate_single_sample_matches_oracle(self, cls100, monkeypatch):
         """One training point (e_50, +1) ties all k singular values, so
         the limit depends on the init.  Averaged over gaussian inits the
         error is (d - 1) / (2 d): position 50 is always right, and every
         other position is right, wrong, or tied with equal signed mass."""
+        monkeypatch.setattr(convlin.dynamics, "DEFAULT_DEGENERATE_DRAWS", 400)
         tr = make_training_set(100, [(50, 1.0, 1)])
         err, degenerate = asymptotic_error_for_trainset(
-            cls100, tr, 5, rng=np.random.default_rng(21),
-            degenerate_draws=400)
+            cls100, tr, 5, rng=np.random.default_rng(21))
         assert degenerate
         assert err == pytest.approx(0.495, abs=0.01)
-
-    @pytest.mark.parametrize("draws", [0, -1])
-    def test_draw_count_validated(self, cls100, draws):
-        """Rejected on a simple top pair too, not only once a degenerate
-        set turns up."""
-        for tr in (make_training_set(100, [(50, 1.0, 1)]),
-                   sample_training_set(cls100, 40, np.random.default_rng(11))):
-            with pytest.raises(ValueError, match="degenerate_draws"):
-                asymptotic_error_for_trainset(
-                    cls100, tr, 5, rng=np.random.default_rng(0),
-                    degenerate_draws=draws)
 
 
 def _degenerate_sets():
@@ -281,11 +270,11 @@ class TestBlockScoring:
 
     @pytest.mark.parametrize("draws", [64, 1, 7])
     @pytest.mark.parametrize("tr,m", _degenerate_sets())
-    def test_equals_per_draw_loop(self, cls100, tr, m, draws):
+    def test_equals_per_draw_loop(self, cls100, tr, m, draws, monkeypatch):
+        monkeypatch.setattr(convlin.dynamics, "DEFAULT_DEGENERATE_DRAWS", draws)
         mtr = training_average(tr, 5)
         rng, oracle_rng = np.random.default_rng(31), np.random.default_rng(31)
-        err, degenerate = asymptotic_error_for_trainset(
-            cls100, tr, 5, rng=rng, degenerate_draws=draws)
+        err, degenerate = asymptotic_error_for_trainset(cls100, tr, 5, rng=rng)
         assert degenerate
         assert asymptotic_weights(np.ones(5), mtr).m == m
         assert err == degenerate_error_per_draw(cls100, mtr, 5, oracle_rng,
@@ -344,10 +333,10 @@ class TestEstimate:
         assert a.mean == b.mean
         np.testing.assert_array_equal(a.trial_errors, b.trial_errors)
 
-    def test_degenerate_fraction_bounds(self, cls100):
+    def test_degenerate_fraction_bounds(self, cls100, monkeypatch):
+        monkeypatch.setattr(convlin.dynamics, "DEFAULT_DEGENERATE_DRAWS", 8)
         allsingle = asymptotic_error_estimate(cls100, 1, 5, 5,
-                                              np.random.default_rng(14),
-                                              degenerate_draws=8)
+                                              np.random.default_rng(14))
         assert allsingle.degenerate_fraction == 1.0
         generic = asymptotic_error_estimate(cls100, 40, 5, 5,
                                             np.random.default_rng(15))
@@ -371,24 +360,14 @@ class TestEstimate:
             asymptotic_error_estimate(cls100, 30, 5, 0,
                                       np.random.default_rng(17))
 
-    @pytest.mark.parametrize("draws", [0, -3])
-    def test_draw_count_validated(self, cls100, draws):
-        """A draw count below one is rejected before any set is drawn,
-        even when no degenerate set would turn up."""
-        rng = np.random.default_rng(19)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="degenerate_draws"):
-            asymptotic_error_estimate(cls100, 40, 5, 2, rng,
-                                      degenerate_draws=draws)
-        assert rng.bit_generator.state == state
-
 
 def _estimate_cases():
-    """(whole, n, k, trials, degenerate_draws) for the block-scored
+    """(whole, n, k, trials, degenerate draws) for the block-scored
     estimate: cls at d = 100 over n and k, k = d, the control tasks
-    (3rdctrl's d(d - 1) points give one-row blocks), the draw counts,
-    the twin set, and 100 cls trials, whose 40-row block flushes twice
-    mid-run and once more at the end."""
+    (3rdctrl's d(d - 1) distinct columns give one-row blocks), the draw
+    counts, the twin set, and 100 and 200 cls trials, whose 81-row block
+    (the 200 points share 100 columns) flushes once and twice mid-run
+    and once more at the end."""
     cls100 = whole_dataset("cls", 100)
     cases = [pytest.param(cls100, n, k, 6, 64, id=f"cls-n{n}-k{k}")
              for n in (1, 5, 10, 100) for k in (1, 5, 20)]
@@ -399,6 +378,7 @@ def _estimate_cases():
         pytest.param(whole_dataset("parity", 100), 10, 5, 12, 64, id="parity"),
         pytest.param(_twin_dataset(), 2, 2, 20, 64, id="twin"),
         pytest.param(cls100, 100, 5, 100, 64, id="cls-100-trials"),
+        pytest.param(cls100, 100, 5, 200, 64, id="cls-200-trials"),
     ]
     cases += [pytest.param(cls100, 10, 5, 40, draws, id=f"cls-draws{draws}")
               for draws in (1, 16)]
@@ -410,12 +390,11 @@ class TestEstimateBlocks:
     on its own, bit for bit and in the parent generator's state."""
 
     @pytest.mark.parametrize("whole,n,k,trials,draws", _estimate_cases())
-    def test_equals_per_set_loop(self, whole, n, k, trials, draws):
+    def test_equals_per_set_loop(self, whole, n, k, trials, draws, monkeypatch):
+        monkeypatch.setattr(convlin.dynamics, "DEFAULT_DEGENERATE_DRAWS", draws)
         rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
-        est = asymptotic_error_estimate(whole, n, k, trials, rng,
-                                        degenerate_draws=draws)
-        ref = estimate_per_set(whole, n, k, trials, oracle_rng,
-                               degenerate_draws=draws)
+        est = asymptotic_error_estimate(whole, n, k, trials, rng)
+        ref = estimate_per_set(whole, n, k, trials, oracle_rng)
         assert est.trial_errors.tobytes() == ref.trial_errors.tobytes()
         assert (est.mean, est.stderr, est.degenerate_fraction,
                 est.zero_average_resamples) == \
@@ -451,10 +430,10 @@ class TestEstimateBlocks:
                             counting("svd", convlin.dynamics.thin_svd))
         monkeypatch.setattr(convlin.dynamics, "fix_top_pair_sign",
                             counting("sign", convlin.dynamics.fix_top_pair_sign))
+        monkeypatch.setattr(convlin.dynamics, "DEFAULT_DEGENERATE_DRAWS", draws)
         trials = 50
         est = asymptotic_error_estimate(whole_dataset("cls", 100), n, 5, trials,
-                                        np.random.default_rng(42),
-                                        degenerate_draws=draws)
+                                        np.random.default_rng(42))
         degenerate = round(est.degenerate_fraction * trials)
         assert calls["svd"] == trials + draws * degenerate
         assert calls["sign"] == trials - degenerate

@@ -14,8 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convlin import models
+from convlin import dynamics, models
 from convlin.errors import ConfigError, NumericalError
+from convlin.linalg import thin_svd
 from convlin.models import (
     BLOCK_ELEMENTS,
     DEFAULT_ALPHA,
@@ -33,9 +34,10 @@ from convlin.models import (
     effective_weights,
     error_from_margins,
     init_weights,
-    margins,
     train,
+    weight_error,
 )
+from convlin.shift import training_average
 from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from oracles import (
     convolve_collapse,
@@ -43,8 +45,10 @@ from oracles import (
     error_rate,
     forward,
     hinge_loss,
+    point_error,
     point_margins,
     scalar_train,
+    signed_design,
     train_drawn,
 )
 
@@ -93,14 +97,16 @@ class TestForward:
         whole = whole_dataset("3rdctrl", 10)
         rng = np.random.default_rng(1)
         w = ConvWeights(w1=rng.standard_normal(3), w2=rng.standard_normal(10))
-        np.testing.assert_allclose(margins(w, whole),
+        np.testing.assert_allclose(_design_margins(effective_weights(w),
+                                                   signed_design(whole)),
                                    whole.y * (dense(whole) @ effective_weights(w)),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("task", ("cls", "1stctrl", "parity", "3rdctrl"))
     def test_margins_match_point_major_oracle(self, task):
         """The signed design gives the point-major margins bit for bit,
-        also where a two-term sum near 1e308 overflows to +-inf."""
+        and so do the distinct columns through each point's column
+        index, also where a two-term sum near 1e308 overflows to +-inf."""
         whole = whole_dataset(task, 12)
         rng = np.random.default_rng(3)
         cases = [LinearWeights(rng.standard_normal(12)),
@@ -109,10 +115,15 @@ class TestForward:
                  FCWeights(W1=rng.standard_normal((12, 12)),
                            w2=rng.standard_normal(12)),
                  LinearWeights(1.7e308 * rng.uniform(-1.0, 1.0, 12))]
+        design, _, inverse = whole.distinct
         for w in cases:
-            got, want = margins(w, whole), point_margins(w, whole)
+            c, want = effective_weights(w), point_margins(w, whole)
+            with np.errstate(over="ignore"):
+                got = _design_margins(c, signed_design(whole))
+                columns = _design_margins(c, design)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+            assert columns[inverse].tobytes() == got.tobytes()
         if task == "3rdctrl":
             assert np.isinf(got).any()
 
@@ -247,18 +258,23 @@ def test_numpy_small_kernel_boundary():
         f"tap order: models.SMALL_KERNEL has moved")
 
 
+def unit_counts(m):
+    """A count of one point for each margin along the last axis of m."""
+    return np.ones(np.shape(m)[-1])
+
+
 class TestErrorRule:
     def test_pointwise_values(self):
-        assert error_from_margins([-2.0]) == 1.0
-        assert error_from_margins([0.0]) == 0.5
-        assert error_from_margins([7.0]) == 0.0
-        assert error_from_margins([-2.0, 0.0, 7.0]) == 0.5
+        for m, want in (([-2.0], 1.0), ([0.0], 0.5), ([7.0], 0.0),
+                        ([-2.0, 0.0, 7.0], 0.5)):
+            assert error_from_margins(m, unit_counts(m)) == want
 
     def test_zero_tol_band(self):
         m = np.array([-2e-9, 1e-9, 0.5])
-        assert error_from_margins(m) == pytest.approx(1.0 / 3.0)
-        assert error_from_margins(m, zero_tol=1e-8) == pytest.approx(1.0 / 3.0)
-        assert error_from_margins(m, zero_tol=np.array([1e-8, 1e-8, 0.0])) \
+        ones = unit_counts(m)
+        assert error_from_margins(m, ones) == pytest.approx(1.0 / 3.0)
+        assert error_from_margins(m, ones, zero_tol=1e-8) == pytest.approx(1.0 / 3.0)
+        assert error_from_margins(m, ones, zero_tol=np.array([1e-8, 1e-8, 0.0])) \
             == pytest.approx(1.0 / 3.0)
 
     def test_axis_vector_on_small_cls(self):
@@ -269,9 +285,10 @@ class TestErrorRule:
         assert classification_error(w, whole) == 3.0 / 8.0
 
     def test_design_error_matches(self):
-        """The sum of signs counts as the masks of the oracle do, on one
-        row or a (rows, n) stack, with or without a per-point tolerance:
-        a NaN margin is neither wrong nor tied, -0.0 is a tie."""
+        """The sum of signs, each margin counted once, counts as the masks
+        of the oracle do, on one row or a (rows, n) stack, with or
+        without a per-margin tolerance: a NaN margin is neither wrong nor
+        tied, -0.0 is a tie."""
         rows = np.array([[-1.0, 0.0, np.nan, 2.0, -0.0, np.inf, -np.inf],
                          [np.nan, np.nan, 1.0, 1.0, 1.0, -3.0, 5e-324],
                          [-5e-324, 1e-9, -1e-9, 2e-8, -2e-8, 0.0, 3.0]])
@@ -280,8 +297,9 @@ class TestErrorRule:
         for tol in tols:
             want = [error_rate(row, 0.0 if tol is None else tol)
                     for row in rows]
-            assert error_from_margins(rows, tol).tolist() == want
-            assert [error_from_margins(row, tol) for row in rows] == want
+            ones = unit_counts(rows)
+            assert error_from_margins(rows, ones, tol).tolist() == want
+            assert [error_from_margins(row, ones, tol) for row in rows] == want
 
     @pytest.mark.parametrize("task,d", [("cls", 7), ("cls", 100), ("1stctrl", 12),
                                         ("3rdctrl", 12), ("parity", 9)])
@@ -297,13 +315,12 @@ class TestErrorRule:
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                 for _ in range(20):
                     c = special_weights(rng, (50, d))
-                    full = error_from_margins(_design_margins(c, data.signed))
-                    got = error_from_margins(_design_margins(c, design),
-                                             counts=counts)
+                    full = error_from_margins(_design_margins(c, signed_design(data)),
+                                              np.ones(len(data)))
+                    got = error_from_margins(_design_margins(c, design), counts)
                     assert got.tobytes() == full.tobytes()
-                    assert [error_from_margins(_design_margins(row, design),
-                                               counts=counts) for row in c] \
-                        == full.tolist()
+                    assert [error_from_margins(_design_margins(row, design), counts)
+                            for row in c] == full.tolist()
 
     def test_scale_invariance(self):
         whole = whole_dataset("parity", 9)
@@ -312,6 +329,72 @@ class TestErrorRule:
         scaled = LinearWeights(17.0 * w.w)
         assert classification_error(w, whole) == \
             classification_error(scaled, whole)
+
+
+def mixed_mass_set():
+    """A hand-built set at d = 6 whose points have one nonzero (mass 1;
+    the second slot holds a zero value) or two (mass 2), several of
+    them repeated a different number of times."""
+    points = [  # (positions, values, y, repeats)
+        ((0, 4), (1.0, 0.0), -1, 3), ((2, 4), (-1.0, 0.0), 1, 1),
+        ((3, 4), (1.0, 0.0), 1, 2), ((5, 4), (1.0, 0.0), 1, 1),
+        ((0, 1), (1.0, -1.0), 1, 1), ((1, 2), (1.0, -1.0), 1, 4),
+        ((2, 0), (1.0, -1.0), 1, 2), ((3, 5), (1.0, -1.0), -1, 1),
+        ((5, 3), (1.0, -1.0), -1, 3)]
+    rows = [point for point in points for _ in range(point[3])]
+    return Dataset(task="3rdctrl", d=6,
+                   positions=np.array([r[0] for r in rows], dtype=np.intp),
+                   values=np.array([r[1] for r in rows]),
+                   y=np.array([r[2] for r in rows], dtype=np.int64))
+
+
+class TestWeightError:
+    """`weight_error`, the one scorer of every whole-dataset error, on a
+    dataset's distinct columns against scoring every point on its own:
+    `point_error`, with each point's own input mass and a masked
+    count."""
+
+    def test_mixed_masses_and_repeats(self):
+        """On a set whose masses are 1 and 2 and whose columns repeat
+        unevenly, margins sit inside the tie band of a mass-2 column
+        only, inside both bands and outside both, so a mass paired with
+        another column or a dropped count changes the error."""
+        data = mixed_mass_set()
+        design, counts, _ = data.distinct
+        assert sorted(set(data.mass.tolist())) == [1.0, 2.0]
+        assert sorted(set(counts.tolist())) == [1.0, 2.0, 3.0, 4.0]
+        c = np.array([0.375, -0.375, 0.125, -0.75, 0.0, 1.0])
+        rng = np.random.default_rng(5)
+        stack = np.vstack([c, -c, 2.0 * c, rng.standard_normal((5, 6))])
+        scales = np.array([0.25, 0.25, 0.5, 0.0, 1e-3, 0.1, 0.3, 1.0])[:, None]
+        for row, scale in zip(stack, scales[:, 0]):
+            w = LinearWeights(row)
+            assert weight_error(row, data, scale) == point_error(w, data, scale)
+            assert weight_error(row, data) == point_error(w, data)
+            assert classification_error(w, data) == point_error(w, data)
+        got = weight_error(stack, data, scales)
+        assert got.tolist() == [point_error(LinearWeights(row), data, scale)
+                                for row, scale in zip(stack, scales[:, 0])]
+        # Margins -0.375 (mass 1) and -0.5 (mass 2) against bands of 0.25
+        # and 0.5: the first is wrong, the second a tie.
+        assert point_error(LinearWeights(c), data, 0.25) == 23.0 / 36.0
+
+    def test_limit_with_a_margin_in_the_band(self):
+        """A 3rdctrl limit whose tie band holds margins that are
+        roundoff, not exact zeros."""
+        whole = whole_dataset("3rdctrl", 10)
+        tr = sample_training_set(whole, 3, np.random.default_rng(7))
+        dec = thin_svd(training_average(tr, 3))
+        assert dec.m == 1
+        aw = dynamics._top_pair_weights(dec)
+        c, scale = dynamics._limit_row(aw)
+        w = ConvWeights(aw.w1, aw.w2)
+        m = point_margins(w, whole)
+        inside = np.abs(m) <= scale * np.abs(whole.values).sum(axis=1)
+        assert (inside & (m != 0.0)).any()
+        assert weight_error(c, whole, scale) == point_error(w, whole, scale)
+        assert weight_error(c, whole, scale) != weight_error(c, whole)
+        assert dynamics.asymptotic_error(aw, whole) == point_error(w, whole, scale)
 
 
 class TestHingeLoss:

@@ -11,6 +11,7 @@ from oracles import (
     dense_points,
     distinct_by_sort,
     separator_witness,
+    signed_design,
     signed_shift_matrix,
 )
 
@@ -209,7 +210,7 @@ class TestDistinct:
             distinct = self._columns((positions, yx))
             assert len(set(distinct)) == len(distinct) == counts.shape[0]
             shared = dict.fromkeys(distinct, 0)
-            for column in self._columns(ds.signed):
+            for column in self._columns(signed_design(ds)):
                 shared[column] += 1  # a KeyError is a column with no match
             assert list(shared.values()) == counts.tolist()
 
@@ -225,7 +226,8 @@ class TestDistinct:
         for ds in (*self._sets(), one, third):
             (positions, yx), counts, inverse = ds.distinct
             assert inverse.shape == (len(ds),) and inverse.dtype == np.intp
-            for got, want in zip((positions[:, inverse], yx[:, inverse]), ds.signed):
+            rebuilt = positions[:, inverse], yx[:, inverse]
+            for got, want in zip(rebuilt, signed_design(ds)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             np.testing.assert_array_equal(np.bincount(inverse), counts)
         assert one.distinct[1].tolist() == [40.0]
