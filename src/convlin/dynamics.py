@@ -13,6 +13,12 @@ the iterates are
     w2(t) = 1/2 U (lam_minus(t) V.T w1(0) + lam_plus(t)  U.T w2(0))
             + (I - U U.T) w2(0)
 
+`models.xhinge_iterates` evaluates them for extreme-hinge training and
+for `closed_form_weights`.  It writes the growth factors as
+(1 + a s_i)^t (1 +- r_i^t) with r_i = (1 - a s_i) / (1 + a s_i), through
+log1p and expm1, so that neither a tiny a s_i nor one past 2^53 loses
+the smaller term.
+
 Only the top singular direction(s) survive normalization as t grows, so
 starting from w2(0) = 0 the limiting classifier is the projection of
 w1(0) onto the top right space, paired with the matching left vectors:
@@ -81,14 +87,15 @@ def closed_form_weights(w1_0, w2_0, mtr, alpha, t):
     """Evaluate the extreme-hinge iterate at step t in closed form, for
     the d x k training average ``mtr``.
 
-    Matches iterative training bit-for-bit up to roundoff for any t and
-    any starting point.  Raises StepOverflowError (with the largest safe
-    t attached) when the dominant growth factor would overflow.
+    Evaluated through `models.xhinge_iterates`, as extreme-hinge
+    training is, it agrees with the step loop for any t and any
+    starting point up to a rounding that grows like t ln(1 + alpha s_1).
+    Raises StepOverflowError (with the largest safe t attached) when
+    the dominant growth factor would overflow.
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     w1_0 = np.asarray(w1_0, float)
-    w2_0 = np.asarray(w2_0, float)
     dec = thin_svd(mtr)
     top = 1.0 + alpha * dec.sigma[0]
     if t * math.log(top) > math.log(_OVERFLOW_LIMIT):
@@ -96,18 +103,11 @@ def closed_form_weights(w1_0, w2_0, mtr, alpha, t):
         raise StepOverflowError(
             f"step {t} overflows the closed form at alpha={alpha}; "
             f"largest safe step count is {max_t}", max_t=max_t)
-
-    grow = (1.0 + alpha * dec.sigma) ** t
-    decay = (1.0 - alpha * dec.sigma) ** t
-    lam_p = grow + decay
-    lam_m = grow - decay
-
-    a = dec.V.T @ w1_0
-    c = dec.U.T @ w2_0
-    w1_t = 0.5 * dec.V @ (lam_p * a + lam_m * c)
-    w2_t = 0.5 * dec.U @ (lam_m * a + lam_p * c) + w2_0 - dec.U @ c
-    return ClosedFormStep(t=t, lambda_plus=lam_p, lambda_minus=lam_m,
-                          w1=w1_t, w2=w2_t)
+    rows, lam_p, lam_m = models.xhinge_iterates(dec, alpha, w1_0,
+                                                np.asarray(w2_0, float), [t])
+    k = w1_0.shape[0]
+    return ClosedFormStep(t=t, lambda_plus=lam_p[0], lambda_minus=lam_m[0],
+                          w1=rows[0, :k], w2=rows[0, k:])
 
 
 @dataclass

@@ -78,22 +78,16 @@ wait to zero.
 The conv xhinge update takes a block of steps too.  Its step is linear
 in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
 training average, and has no active set, so only the step budget ends a
-block.  A block runs that recurrence row by row into one preallocated
-array of [w1 | w2] rows.  Each step writes the same two BLAS products
-as a single step into one [M^T w2 | M w1] buffer made once per run,
-scales it by alpha in place with one multiply and adds it to the
-previous row with one add, into the row; a block's first row adds it
-to a concatenated copy of the weights.  A row whose joint max-abs
-passes RENORM_THRESHOLD is divided by it in place, and the next step
-starts from the rescaled row, so a block holds any number of rescales
-and no row is computed that is not a step.  Rows are scanned for their
-max-abs only past a growth window.  A step multiplies the joint max-abs
-by at most g = 1 + alpha * max(max column sum, max row sum) of |M|, so
-after a scanned row of max-abs top the next
-floor(log(THR / top) / log g) - 1 rows cannot pass the threshold THR
-and are not scanned.  g carries a slack for rounding; the window
-restarts at each scanned row and ends with the block, and a zero,
-infinite or NaN max-abs or an infinite g gives none.  Then the block's
+block.  The update decomposes M once per run and writes a block's
+[w1 | w2] rows in the closed form of `convlin.dynamics`, through
+`xhinge_iterates`, which `dynamics.closed_form_weights` evaluates too.
+A step grows the 2-norm of [w1 | w2] by at most 1 + alpha sigma_1, so a
+block of at most floor(ln T / ln(1 + alpha sigma_1)) steps from a start
+within T = RENORM_THRESHOLD stays within sqrt(k + d) T^2, far from
+overflow; a start past T, which only an init can be, takes one step.
+The rescale comes after: the first row whose joint max-abs passes T is
+divided by it, and so is every row after it, as the steps are linear,
+and the scan goes on from the next row.  Then the block's
 effective weights are one stacked `conv_collapse`, the helper that
 collapses any conv model, and its margins one gather.  One pair
 collapses through np.correlate of w2 with the reversed w1, which is
@@ -105,7 +99,7 @@ over all rows.  With more taps, and for the first k - 1 entries at any
 k, an entry is one BLAS dot, and a stacked (1, n) @ (n, 1) matmul makes
 that same call.
 
-The result is bit for bit that of the per-point, per-lag loop kept as
+A hinge run is bit for bit that of the per-point, per-lag loop kept as
 the oracle in the tests.  Every y * x entry is +-1 and every count an
 integer, so s is an integer vector and exact in any summation order.  A
 point's margin is the sum of the same at most two signed entries of c,
@@ -117,13 +111,13 @@ Each lag dot is the same BLAS call on the same d - j entries.  A single
 zero-padded dot of length d per lag would not be exact: BLAS splits a
 length-d dot into blocks differently from a length d - j one.  A
 one-layer block is exact because a cumulative sum adds sequentially, so
-each row is the repeated in-place w += v.  An xhinge row takes the same
-products, the same rescale and the same collapse of the same vectors
-as a single step (each entry takes the same product, scale and add),
-and a row inside a growth window is one that no rescale could touch.
-A conv hinge row takes the same lag dots, window sum, scales and adds
-of the same vectors as a single step, and its collapse is
-np.correlate's.
+each row is the repeated in-place w += v.  A conv hinge row takes the
+same lag dots, window sum, scales and adds of the same vectors as a
+single step, and its collapse is np.correlate's.  An xhinge row rounds
+otherwise than the loop's steps: its steps, rescale counts and errors
+are the loop's, and its weights and losses agree to 1e-12 relative,
+except where a row's max-abs lies within a rounding of
+RENORM_THRESHOLD.
 The batched losses are exact because the per-point loss array is
 C-ordered: take along the last axis builds a new C-ordered (rows, n)
 array of each point's loss in point order, so the row sums run along
@@ -144,6 +138,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericalError
+from .linalg import SpectralDecomposition, thin_svd
 from .shift import training_average
 
 MODELS = ("1layer", "conv", "fc")
@@ -556,57 +551,58 @@ def _fc_hinge(weights, design, weighted, scale):
     return update
 
 
+def xhinge_iterates(dec, alpha, w1, w2, t):
+    """The extreme-hinge iterate in closed form (see `convlin.dynamics`)
+    after each of the step counts t from the start (w1, w2), with M the
+    training average and ``dec`` its thin SVD: one [w1 | w2] row per
+    step count, and the growth factors lam_plus and lam_minus of each
+    step count as (len(t), k) arrays."""
+    x = alpha * dec.sigma
+    t = np.asarray(t, dtype=float)[:, None]
+    # lam_pm = (1 + x)^t (1 +- r^t) with r = (1 - x) / (1 + x), without
+    # cancellation: ln |r| and 1 - |r|^t through log1p and expm1.  For
+    # x > 1, r < 0, so an odd t swaps the two; at x = 1, 0^0 = 1.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log1p(-2.0 * np.fmin(x, 1.0) / (1.0 + x))
+        tail = -np.expm1(np.where(t > 0, t * log_r, 0.0))
+    grow = np.exp(t * np.log1p(x))
+    swap = (x > 1.0) & (t % 2 == 1)
+    lam_p = grow * np.where(swap, tail, 2.0 - tail)
+    lam_m = grow * np.where(swap, 2.0 - tail, tail)
+    a, b = dec.V.T @ w1, dec.U.T @ w2
+    w1s = 0.5 * (lam_p * a + lam_m * b) @ dec.V.T
+    w2s = 0.5 * (lam_m * a + lam_p * b) @ dec.U.T + (w2 - dec.U @ b)
+    return np.hstack((w1s, w2s)), lam_p, lam_m
+
+
 def _conv_xhinge(weights, design, alpha, tr, rescales):
     """Also appends the common factor of each renormalization to
     ``rescales``."""
     kw, d = weights.w1.shape[0], weights.w2.shape[0]
     mtr = training_average(tr, kw)
-    mtr_t = mtr.T
-    # A step multiplies the joint max-abs of [w1 | w2] by at most
-    # g = 1 + alpha * max(max column sum, max row sum) of |M|; the factor
-    # 1 + 4 (d + kw) eps covers the rounding of the products and of g.
-    abs_m = np.abs(mtr)
-    rate = alpha * float(max(abs_m.sum(axis=0).max(), abs_m.sum(axis=1).max()))
-    log_g = math.log((1.0 + rate) * (1.0 + 4 * (d + kw) * np.finfo(float).eps))
-    # The two products of a step, [M^T w2 | M w1], in one buffer.
-    prods = np.empty(kw + d)
-    p1, p2 = prods[:kw], prods[kw:]
-
-    def window(top):
-        """The number of rows after one of max-abs ``top`` that cannot
-        pass RENORM_THRESHOLD, or zero for a zero, infinite or NaN top.
-        The log of one ratio, unlike a difference of two logs, is off by
-        less than 1/16 row, which the - 1 covers.  A top below 1 counts
-        as 1, so the ratio cannot overflow and the window only shortens."""
-        if not 0.0 < top < math.inf:
-            return 0
-        rows = math.log(RENORM_THRESHOLD / max(top, 1.0)) / log_g
-        return max(0, int(rows) - 1)
+    # A zero average, which only a hand-built set can have, moves no
+    # weight: its singular values are zeros, on any orthonormal bases.
+    dec = (thin_svd(mtr) if mtr.any() else
+           SpectralDecomposition(U=np.eye(d, kw), sigma=np.zeros(kw), V=np.eye(kw), m=kw))
+    # The most steps a block takes (see the module docstring).
+    rate = math.log1p(alpha * dec.sigma[0])
+    most = max(1, int(math.log(RENORM_THRESHOLD) / rate)) if rate else math.inf
 
     def update(m, act, steps):
-        # Row j of the block is [w1 | w2] after step j, written in place
-        # and rescaled in place, so the next step reads the rescaled row.
-        # Only the rows past the growth window of the last scanned row are
-        # scanned; the window ends with the block.
-        block = np.empty((steps, kw + d))
-        w1, w2 = weights.w1, weights.w2
-        prev = np.concatenate((w1, w2))
+        start = max(np.abs(weights.w1).max(), np.abs(weights.w2).max())
+        steps = min(steps, 1 if start > RENORM_THRESHOLD else most)
+        block = xhinge_iterates(dec, alpha, weights.w1, weights.w2,
+                                np.arange(1, steps + 1))[0]
+        # The steps are linear: a row that passes the threshold, and every
+        # row after it up to the next that does, is divided by its own
+        # max-abs before any rescale.
+        scale, last = np.ones(steps), 1.0
+        for row, top in enumerate(np.abs(block).max(axis=1).tolist()):
+            if top / last > RENORM_THRESHOLD:
+                rescales.append(top / last)
+                scale[row:] = last = top
+        block /= scale[:, None]
         w1s, w2s = block[:, :kw], block[:, kw:]
-        skip = 0
-        for row, head, tail in zip(block, w1s, w2s):
-            mtr_t.dot(w2, out=p1)
-            mtr.dot(w1, out=p2)
-            np.multiply(prods, alpha, out=prods)
-            prev, w1, w2 = np.add(prev, prods, out=row), head, tail
-            if skip:
-                skip -= 1
-                continue
-            top = np.abs(row).max()
-            if top > RENORM_THRESHOLD:
-                row /= top
-                rescales.append(top)
-                top = np.abs(row).max()
-            skip = window(top)
         weights.w1, weights.w2 = w1s[-1], w2s[-1]
         c = conv_collapse(w1s, w2s)
         return c, _design_margins(c, design), map(ConvWeights, w1s, w2s)

@@ -34,7 +34,6 @@ from convlin.models import (
     ConvWeights,
     TrainConfig,
     classification_error,
-    train,
 )
 from convlin.shift import training_average
 from convlin.tasks import TASKS, sample_training_set, whole_dataset
@@ -58,8 +57,10 @@ def _mean_se(values):
 
 def test_criterion_01_closed_form_matches_iterative(acceptance_report):
     """50 random configurations across all four tasks: the closed-form
-    extreme-hinge iterate equals literal training at t in {1,5,20,100}
-    to relative error 1e-8."""
+    extreme-hinge iterate equals literal training, the step loop of
+    `oracles.scalar_train`, at t in {1,5,20,100} to relative error 1e-8.
+    `train` writes its rows through the same closed form, so it would
+    check the formula against itself."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     wholes = {}
@@ -79,7 +80,7 @@ def test_criterion_01_closed_form_matches_iterative(acceptance_report):
                 break
         w0 = ConvWeights(w1=rng.standard_normal(k), w2=rng.standard_normal(d))
         cfg = TrainConfig(loss="xhinge", alpha=0.05, max_steps=100)
-        trace = train("conv", tr, cfg, w0, record_weights=True)
+        trace = scalar_train("conv", tr, cfg, None, initial=w0, record_weights=True)
         for t in (1, 5, 20, 100):
             cf = closed_form_weights(w0.w1, w0.w2, mtr, 0.05, t)
             it = trace.weights_per_step[t]

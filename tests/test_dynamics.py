@@ -1,10 +1,15 @@
 """Closed-form extreme-hinge iterates and their normalized limit.
 
-The closed form is checked against literal iterative training, the
-limit against the closed form at the largest representable step count,
+The closed form is checked against literal iterative training (the
+step loop of `oracles.scalar_train`, since `train` evaluates the same
+closed form) and its growth factors against exact rational arithmetic,
+the limit against the closed form at the largest representable step count,
 and the degenerate (tied top singular value) paths against hand-built
 training sets where everything is known exactly.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from convlin.dynamics import (
 )
 from convlin.errors import StepOverflowError
 from convlin.linalg import fix_top_pair_sign, thin_svd
-from convlin.models import ConvWeights, TrainConfig, train
+from convlin.models import ConvWeights, TrainConfig
 from convlin.shift import training_average
 from convlin.tasks import Dataset, sample_training_set, whole_dataset
 from convlin.theory import sparse_training_set
@@ -32,6 +37,7 @@ from oracles import (
     degenerate_error_per_draw,
     dense_point,
     estimate_per_set,
+    scalar_train,
 )
 
 
@@ -71,7 +77,7 @@ class TestClosedForm:
         w0 = ConvWeights(w1=rng.standard_normal(3),
                          w2=rng.standard_normal(20))
         cfg = TrainConfig(loss="xhinge", alpha=0.1, max_steps=1)
-        trace = train("conv", tr, cfg, w0)
+        trace = scalar_train("conv", tr, cfg, None, initial=w0)
         step = closed_form_weights(w0.w1, w0.w2, training_average(tr, 3),
                                    0.1, 1)
         np.testing.assert_allclose(step.w1, trace.weights.w1, atol=1e-14)
@@ -82,7 +88,7 @@ class TestClosedForm:
         tr = sample_training_set(cls100, 30, rng)
         w0 = ConvWeights(w1=rng.standard_normal(5), w2=np.zeros(100))
         cfg = TrainConfig(loss="xhinge", alpha=0.1, max_steps=100)
-        trace = train("conv", tr, cfg, w0)
+        trace = scalar_train("conv", tr, cfg, None, initial=w0)
         step = closed_form_weights(w0.w1, w0.w2, training_average(tr, 5),
                                    0.1, 100)
         np.testing.assert_allclose(step.w1, trace.weights.w1,
@@ -101,6 +107,30 @@ class TestClosedForm:
         step = closed_form_weights(w1_0, np.zeros(100), mtr, 0.1, max_t)
         assert np.all(np.isfinite(step.w1))
         assert np.all(np.isfinite(step.w2))
+
+    @pytest.mark.parametrize("x", [0.0, 2.0**-60, 1e-8, 0.5, 1.0, 1.5, 1e20, 2.0**100])
+    def test_growth_factors_are_exact(self, x):
+        """lam_pm = (1 + x)^t +- (1 - x)^t, for x = alpha * sigma, agree
+        with an exact rational evaluation to a few eps per unit of
+        t ln(1 + x): neither the tiny x that 1 + x rounds away nor a
+        1 - x that swamps 1 + x loses a term."""
+        eps = np.finfo(float).eps
+        for t in range(10):
+            step = closed_form_weights([1.0], [0.0], np.ones((1, 1)), x, t)
+            tol = 4 * eps * max(1.0, t * math.log1p(x))
+            for got, sign in ((step.lambda_plus, 1), (step.lambda_minus, -1)):
+                exact = (1 + Fraction(x)) ** t + sign * (1 - Fraction(x)) ** t
+                assert abs(Fraction(float(got[0])) - exact) <= tol * abs(exact), (t, sign)
+
+    def test_one_step_at_a_huge_rate(self):
+        """From w2(0) = 0, one step leaves w1 where it is at any rate,
+        also at alpha = 1e20, where 1 + alpha s_i and 1 - alpha s_i
+        cancel to rounding."""
+        whole = whole_dataset("cls", 20)
+        tr = sample_training_set(whole, 10, np.random.default_rng(8))
+        w1_0 = np.random.default_rng(9).standard_normal(3)
+        step = closed_form_weights(w1_0, np.zeros(20), training_average(tr, 3), 1e20, 1)
+        np.testing.assert_allclose(step.w1, w1_0, rtol=1e-14, atol=0)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):

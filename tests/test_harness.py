@@ -189,14 +189,14 @@ class TestGoldenOutputs:
         "asym-vs-losses": {
             "rows.csv": "f5218e20938a2436faf3fbf06f49984eac288f32fa25dd471670a1a1b58ed4fb",
             "rows.csv.weights.json":
-                "03b1afdec3a0fcdf75699afefa56225d84a1be54ab6bb857cd3076fb24f407d9",
+                "15db0d5bc3e9897930566438d41d5f367b82b9e4df768149fcb558dfe5b892b3",
         },
         "init-study": {
             "rows.csv": "65463a8753d24dfcc4cb7c2cae8f363107e9408b05e6b5269ffe7b35fc53df76",
             "rows.csv.traces.csv":
-                "c1d359a23156c0fb2fd12816301f746ac648c0b0197c7a02295abe7ed2874cd0",
+                "a679101c82f62e3fb6d89df98b5bb6d62e80ec0356b8eea7a95cf1ec31706f1a",
             "rows.csv.weights.json":
-                "4639aeeab244dc532649d2469c2fbec30337fdcbeea92b86fbb2ac9a9971fb9b",
+                "044d044a021c39aaf6bf8b30bad4dcbb7a668d6ad2380d6c4e229debe4e07206",
         },
         "analysis-curves": {
             "rows.csv": "ebdd19bc61ae451fa5d7932c532c773e40a88eb47b5fda6d1a14ab3c88ce6d99",
