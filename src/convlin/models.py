@@ -49,31 +49,23 @@ at the first step whose loss is not finite.
 The fc hinge update takes one step per call; the one-layer and conv
 hinge updates take blocks of steps.  The active sum s is one bincount
 of the active columns' y * x times their counts, a product made once
-per run.  For conv, the output gradient adds the shifted copies of s,
-read as a window view of a zero-padded buffer, one lag after another,
-and the filter gradient takes one BLAS dot per lag.
-While the active set stays the same, s is fixed.  A one-layer step then
-adds the same v = (alpha / n) s to w, so the weights of J steps are one
-cumulative sum down the rows [w + v; v; ...; v], and their margins one
-(J, u) gather.  The block ends at the first row whose active set
-differs.  J comes from each margin's predicted crossing of 1, as the
-margins move linearly with the step count; the prediction only sets how
-much is computed, and the change test decides every result.  Where the
-active set changes at every step, as late in a 3rdctrl run, each block
-is one step.
-A conv step with a fixed s is only the k lag dots, the window sum and
-two scaled adds.  The conv update takes its first step in place, as a
-single step.  If that step kept the active set, it writes the further
-steps as [w1 | w2] rows of one block, each from the row before with the
-same lag dots and window sum, then collapses the block with one stacked
-`conv_collapse`, gathers its margins once and keeps the rows up to the
-first change of the active set.  J comes from the same predicted
-crossing, though conv margins do not move linearly.  A single step
-allocates no block.  Where the active set keeps changing, the update
-stops testing it: a try that takes fewer than three steps is followed
-by single steps without a try, for a wait that doubles with each failed
-try in a row, up to MAX_WAIT steps.  A try that succeeds resets the
-wait to zero.
+per run.  While the active set stays the same, s is fixed.  A one-layer
+step then adds the same v = (alpha / n) s to w, so the weights of J
+steps are one cumulative sum down the rows [w + v; v; ...; v], and
+their margins one (J, u) gather.  A conv step is the extreme-hinge step
+below with M = `shift.shift_matrix(s, k)` and rate alpha / n.  The conv
+update takes its first step as two products with M.  If that step kept
+the active set, it writes the further steps in closed form, through
+`xhinge_iterates` on the thin SVD of M, and collapses the block once; a
+single step decomposes nothing.  A block ends at the first row whose
+active set differs, and J comes from each margin's crossing of 1,
+predicted as if the margins moved linearly with the step count, as only
+one-layer margins do; the prediction only sets how much is computed,
+and the change test decides every result.  Where the active set keeps
+changing, as late in a 3rdctrl run, the conv update stops testing it: a
+try that takes fewer than three steps is followed by single steps
+without a try, for a wait that doubles with each failed try in a row,
+up to MAX_WAIT steps.  A try that succeeds resets the wait to zero.
 
 The conv xhinge update takes a block of steps too.  Its step is linear
 in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
@@ -99,25 +91,21 @@ over all rows.  With more taps, and for the first k - 1 entries at any
 k, an entry is one BLAS dot, and a stacked (1, n) @ (n, 1) matmul makes
 that same call.
 
-A hinge run is bit for bit that of the per-point, per-lag loop kept as
-the oracle in the tests.  Every y * x entry is +-1 and every count an
-integer, so s is an integer vector and exact in any summation order.  A
-point's margin is the sum of the same at most two signed entries of c,
-added in the same slot order, as its column's, so it is its column's
-margin bit for bit, and the active set, the crossing prediction and the
-change test of a one-layer block see the same values as on every point.
-The error sums are exact integers.
-Each lag dot is the same BLAS call on the same d - j entries.  A single
-zero-padded dot of length d per lag would not be exact: BLAS splits a
-length-d dot into blocks differently from a length d - j one.  A
-one-layer block is exact because a cumulative sum adds sequentially, so
-each row is the repeated in-place w += v.  A conv hinge row takes the
-same lag dots, window sum, scales and adds of the same vectors as a
-single step, and its collapse is np.correlate's.  An xhinge row rounds
-otherwise than the loop's steps: its steps, rescale counts and errors
-are the loop's, and its weights and losses agree to 1e-12 relative,
-except where a row's max-abs lies within a rounding of
-RENORM_THRESHOLD.
+A one-layer or fc hinge run is bit for bit that of the per-point loop
+kept as the oracle in the tests.  Every y * x entry is +-1 and every
+count an integer, so s is an integer vector and exact in any summation
+order.  A point's margin is the sum of the same at most two signed
+entries of c, added in the same slot order, as its column's, so it is
+its column's margin bit for bit, and the active set, the crossing
+prediction and the change test of a one-layer block see the same values
+as on every point.  The error sums are exact integers.  A one-layer
+block is exact because a cumulative sum adds sequentially, so each row
+is the repeated in-place w += v.  A conv row, a product with M or the
+closed form, rounds otherwise than the loop's per-lag steps: in every
+run the tests compare, a conv run's steps, stops, rescale counts and
+errors are the loop's, and its weights and losses agree to 1e-12
+relative, except where an xhinge row's max-abs lies within a rounding
+of RENORM_THRESHOLD.
 The batched losses are exact because the per-point loss array is
 C-ordered: take along the last axis builds a new C-ordered (rows, n)
 array of each point's loss in point order, so the row sums run along
@@ -139,7 +127,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericalError
 from .linalg import SpectralDecomposition, thin_svd
-from .shift import training_average
+from .shift import shift_matrix, training_average
 
 MODELS = ("1layer", "conv", "fc")
 LOSSES = ("hinge", "xhinge")
@@ -430,6 +418,25 @@ def _state(weights, design):
     return c, _design_margins(c, design), (weights,)
 
 
+def _block_steps(m, first, steps):
+    """The length of a block whose first step moved the margins m to
+    ``first`` without changing the active set: it ends at the first step
+    at or past the earliest crossing of 1, predicted as if each margin
+    kept moving by first - m per step, and at ``steps`` at most."""
+    fastest = np.fmax.reduce((first - m) / (1.0 - first))
+    if fastest * (steps - 1) > 1.0:
+        steps = int(1.0 / fastest) + 2
+    return steps
+
+
+def _held(margins, act):
+    """The number of leading rows of the (rows, u) margins whose active
+    set is ``act``.  In a block, the rows past the first that differs are
+    not steps."""
+    changed = np.flatnonzero(((margins < 1.0) != act).any(axis=1))
+    return changed[0] if changed.size else len(margins)
+
+
 # The updates.  Each advances ``weights`` from the active set ``act`` of
 # the margins m and returns the effective weights and margins of the
 # steps it took, at most ``steps`` of them (see the module docstring),
@@ -447,25 +454,27 @@ def _linear_hinge(weights, design, weighted, scale):
         v = scale * _active_sum(act, weighted, d)
         states = (weights.w + v)[None]
         margins = _design_margins(states, design)
-        if steps > 1 and not ((margins[0] < 1.0) != act).any():
-            # The active set held for a step, so each margin moves by about
-            # margins - m per step: the block ends at the first step at or
-            # past the earliest predicted crossing of 1.
-            fastest = np.fmax.reduce((margins[0] - m) / (1.0 - margins[0]))
-            if fastest * (steps - 1) > 1.0:
-                steps = int(1.0 / fastest) + 2
-            block = np.empty((steps, d))
+        if steps > 1 and _held(margins, act):
+            block = np.empty((_block_steps(m, margins[0], steps), d))
             block[0], block[1:] = states[0], v
             states = block.cumsum(axis=0, out=block)
             margins = _design_margins(states, design)
-            # Rows past the first change of the active set are not steps.
-            changed = np.flatnonzero(((margins < 1.0) != act).any(axis=1))
-            if changed.size:
-                states, margins = states[: changed[0] + 1], margins[: changed[0] + 1]
+            rows = _held(margins, act) + 1
+            states, margins = states[:rows], margins[:rows]
         weights.w = states[-1]
         return states, margins, map(LinearWeights, states)
 
     return update
+
+
+def _decompose(M):
+    """The thin SVD of a conv step's matrix M.  An all-zero M, which only
+    a hand-built set can give, moves no weight: its singular values are
+    zeros, on any orthonormal bases."""
+    d, k = M.shape
+    if not M.any():
+        return SpectralDecomposition(U=np.eye(d, k), sigma=np.zeros(k), V=np.eye(k), m=k)
+    return thin_svd(M)
 
 
 # The most steps a conv hinge run takes one at a time, without a block
@@ -475,61 +484,39 @@ MAX_WAIT = 64
 
 def _conv_hinge(weights, design, weighted, scale):
     d, kw = weights.w2.shape[0], weights.w1.shape[0]
-    # The active sum s sits in a buffer padded with kw - 1 zeros, so row j
-    # of the (kw, d) window view is s shifted by j lags.
-    s_pad = np.zeros(d + kw - 1)
-    shifted = sliding_window_view(s_pad, d)
-    # One dot per lag over exactly the d - j overlapping entries (see the
-    # module docstring); the w2 views stay valid because w2 is updated in
-    # place.
-    s_tails = [s_pad[j:d] for j in range(kw)]
-    w2_heads = [weights.w2[: d - j] for j in range(kw)]
     # The steps to take one at a time before the next block try, and the
     # wait after the last try, which doubles with each failed try in a row.
     skip = wait = 0
 
-    def extend(m, act, first, steps):
+    def extend(m, act, M, first, steps):
         """The steps from the weights after a first step, whose margins
-        ``first`` kept the active set: one [w1 | w2] row per step, up to
-        the first change of the active set."""
-        # As in the one-layer update, the block ends at the first step at
-        # or past the earliest predicted crossing of 1.
-        fastest = np.fmax.reduce((first - m) / (1.0 - first))
-        if fastest * (steps - 1) > 1.0:
-            steps = int(1.0 / fastest) + 2
+        ``first`` kept the active set: one [w1 | w2] row per step, the
+        first row those weights and the rest in closed form, up to the
+        first change of the active set."""
+        steps = _block_steps(m, first, steps)
         block = np.empty((steps, kw + d))
+        block[0, :kw], block[0, kw:] = weights.w1, weights.w2
+        block[1:] = xhinge_iterates(_decompose(M), scale, weights.w1, weights.w2,
+                                    np.arange(1, steps))[0]
         w1s, w2s = block[:, :kw], block[:, kw:]
-        w1s[0], w2s[0] = weights.w1, weights.w2
-        # Each row takes a single step's products, scales and adds.
-        for w1, w2, w1_out, w2_out in zip(w1s, w2s, w1s[1:], w2s[1:]):
-            heads = [w2[: d - j] for j in range(kw)]
-            g1 = np.fromiter(map(np.ndarray.dot, s_tails, heads), float, kw)
-            g2 = (w1[:, None] * shifted).sum(axis=0)
-            np.add(w1, scale * g1, out=w1_out)
-            np.add(w2, scale * g2, out=w2_out)
         c = conv_collapse(w1s, w2s)
         margins = _design_margins(c, design)
-        # Rows past the first change of the active set are not steps.
-        changed = np.flatnonzero(((margins < 1.0) != act).any(axis=1))
-        if changed.size:
-            rows = changed[0] + 1
-            c, margins, w1s, w2s = c[:rows], margins[:rows], w1s[:rows], w2s[:rows]
-        weights.w1[:], weights.w2[:] = w1s[-1], w2s[-1]
+        rows = _held(margins, act) + 1
+        c, margins, w1s, w2s = c[:rows], margins[:rows], w1s[:rows], w2s[:rows]
+        weights.w1, weights.w2 = w1s[-1], w2s[-1]
         return c, margins, map(ConvWeights, w1s, w2s)
 
     def update(m, act, steps):
         nonlocal skip, wait
-        s_pad[:d] = _active_sum(act, weighted, d)
-        g1 = np.fromiter(map(np.ndarray.dot, s_tails, w2_heads), float, kw)
-        g2 = (weights.w1[:, None] * shifted).sum(axis=0)
-        weights.w1 += scale * g1
-        weights.w2 += scale * g2
+        M = shift_matrix(_active_sum(act, weighted, d), kw)
+        weights.w1, weights.w2 = (weights.w1 + scale * (M.T @ weights.w2),
+                                  weights.w2 + scale * (M @ weights.w1))
         c, margins, stepped = _state(weights, design)
         if skip:
             skip -= 1
         elif steps > 1:
-            if not ((margins[0] < 1.0) != act).any():
-                c, margins, stepped = extend(m, act, margins[0], steps)
+            if _held(margins, act):
+                c, margins, stepped = extend(m, act, M, margins[0], steps)
             # A try fails if it takes fewer than three steps.
             skip = wait = 0 if len(c) > 2 else min(2 * wait + 1, MAX_WAIT)
         return c, margins, stepped
@@ -552,11 +539,14 @@ def _fc_hinge(weights, design, weighted, scale):
 
 
 def xhinge_iterates(dec, alpha, w1, w2, t):
-    """The extreme-hinge iterate in closed form (see `convlin.dynamics`)
-    after each of the step counts t from the start (w1, w2), with M the
-    training average and ``dec`` its thin SVD: one [w1 | w2] row per
-    step count, and the growth factors lam_plus and lam_minus of each
-    step count as (len(t), k) arrays."""
+    """The iterate of the conv step w1 + alpha M^T w2, w2 + alpha M w1 in
+    closed form (see `convlin.dynamics`) after each of the step counts t
+    from the start (w1, w2), with ``dec`` the thin SVD of M: one
+    [w1 | w2] row per step count, and the growth factors lam_plus and
+    lam_minus of each step count as (len(t), k) arrays.  M is the
+    training average in an extreme-hinge run (`_conv_xhinge`, and
+    `dynamics.closed_form_weights`), and the shift matrix of the active
+    sum in a conv hinge block (`_conv_hinge`)."""
     x = alpha * dec.sigma
     t = np.asarray(t, dtype=float)[:, None]
     # lam_pm = (1 + x)^t (1 +- r^t) with r = (1 - x) / (1 + x), without
@@ -578,12 +568,8 @@ def xhinge_iterates(dec, alpha, w1, w2, t):
 def _conv_xhinge(weights, design, alpha, tr, rescales):
     """Also appends the common factor of each renormalization to
     ``rescales``."""
-    kw, d = weights.w1.shape[0], weights.w2.shape[0]
-    mtr = training_average(tr, kw)
-    # A zero average, which only a hand-built set can have, moves no
-    # weight: its singular values are zeros, on any orthonormal bases.
-    dec = (thin_svd(mtr) if mtr.any() else
-           SpectralDecomposition(U=np.eye(d, kw), sigma=np.zeros(kw), V=np.eye(kw), m=kw))
+    kw = weights.w1.shape[0]
+    dec = _decompose(training_average(tr, kw))
     # The most steps a block takes (see the module docstring).
     rate = math.log1p(alpha * dec.sigma[0])
     most = max(1, int(math.log(RENORM_THRESHOLD) / rate)) if rate else math.inf

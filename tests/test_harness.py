@@ -184,19 +184,19 @@ class TestGoldenOutputs:
         "gen-curve": {
             "rows.csv": "5a28bce6e3c91ff2cd3baae60ef9abb778cd8791a21124fcbf7454e67432a15f",
             "rows.csv.weights.json":
-                "6f7c7cbfd7ce2e415b5eaff06b7ed9af22a6de9bfebf6a495fb51ed253331b75",
+                "ab9824a0eb807811d4d7c501bd9a6d60592ebd262d2e165baca4fd981f92f006",
         },
         "asym-vs-losses": {
             "rows.csv": "f5218e20938a2436faf3fbf06f49984eac288f32fa25dd471670a1a1b58ed4fb",
             "rows.csv.weights.json":
-                "15db0d5bc3e9897930566438d41d5f367b82b9e4df768149fcb558dfe5b892b3",
+                "d9b8092f7d162e14dbbacc8b6a5dff5c8cbda57c7f8e0ad060a91761f56942db",
         },
         "init-study": {
             "rows.csv": "65463a8753d24dfcc4cb7c2cae8f363107e9408b05e6b5269ffe7b35fc53df76",
             "rows.csv.traces.csv":
-                "a679101c82f62e3fb6d89df98b5bb6d62e80ec0356b8eea7a95cf1ec31706f1a",
+                "3709cbcbb3b178184e43aa4b11ded36084ccf9852828b4afc8091a3048eaf717",
             "rows.csv.weights.json":
-                "044d044a021c39aaf6bf8b30bad4dcbb7a668d6ad2380d6c4e229debe4e07206",
+                "fa2f4a818f5dd0e5f04772cffcba746d0df653f2f4b46f005cae393987e65927",
         },
         "analysis-curves": {
             "rows.csv": "ebdd19bc61ae451fa5d7932c532c773e40a88eb47b5fda6d1a14ab3c88ce6d99",
@@ -209,7 +209,7 @@ class TestGoldenOutputs:
         "parity-curve": {
             "rows.csv": "50fcbf5c737b7343977fd8c6a44ae04e3cf9a7615cb625ae4cb7aed994cbdf10",
             "rows.csv.weights.json":
-                "406d5e2a935c2314ebfc59bccb27ffe7c0f0c9a7b666952edf3d41af71735fdd",
+                "d4dc3b87749bf7b19efaf05dbe5a1cf80584ed7460f69fff3a0ae35db24760fa",
         },
     }
     # gen-curve on 3rdctrl, the task whose active set changes at almost
