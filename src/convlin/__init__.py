@@ -66,7 +66,6 @@ from .theory import (
     coverage_term_exact,
     decomposition_report,
     estimate_prob_no_adjacent_pair,
-    estimate_prob_nonprimitive,
     has_adjacent_pair,
     onelayer_error,
     prob_no_adjacent_pair_exact,

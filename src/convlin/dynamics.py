@@ -222,8 +222,8 @@ def asymptotic_error_estimate(whole, n, k, trials, rng):
     ``models.BLOCK_ELEMENTS`` margins, one per distinct column of the
     whole dataset (81 rows on cls at d = 100, whose 200 points share 100
     columns), and a full block, then the rest, is scored in one call;
-    each row scores as it would alone.  A degenerate set is scored when it is drawn,
-    with one decomposition per draw of w1(0), as in
+    each row scores as it would alone.  A degenerate set is scored when
+    it is drawn, with one decomposition per draw of w1(0), as in
     `asymptotic_error_for_trainset`.
     """
     if trials < 1:

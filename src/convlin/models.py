@@ -18,13 +18,12 @@ always simultaneous: both gradients are evaluated at the old weights.
 Every dataset is scored on the distinct columns of its signed sparse
 design, `Dataset.distinct`: the positions and the y * x values of the
 nonzeros of the points, each column once, built once per dataset, with
-the number of points that share each column and each point's column
-index.  A whole cls set has 2d points and d distinct columns, and a
-drawn cls set of any size at most d, as every y * x is some e_l.  One
-counter, `error_from_margins`, gives every error from the margins and
-counts of the columns, and one scorer, `weight_error`, every
-whole-dataset error of effective weights: those of
-`classification_error`, of `train`'s eval set and of the limiting
+the number of points that share each column.  A whole cls set has 2d
+points and d distinct columns, and a drawn cls set of any size at most
+d, as every y * x is some e_l.  One counter, `error_from_margins`, gives
+every error from the margins and counts of the columns, and one scorer,
+`weight_error`, every whole-dataset error of effective weights: those
+of `classification_error`, of `train`'s eval set and of the limiting
 classifier, whose tie band is a multiple of each column's input mass,
 `Dataset.mass`.
 
@@ -40,10 +39,9 @@ after each of those steps, which the loop copies only to record them.
 The loop scores the steps in batches of rows, and offers an update no
 more steps than the batch has room for, so that an array that holds or
 scores a batch passes BLOCK_ELEMENTS only where one row does.  It
-scores the losses as row sums of the per-point losses, which a take
-through the column index expands from the columns, a chunk of rows at
-a time, the errors as one product of the signs with the column counts,
-the eval errors as one `weight_error` of the stacked c, and it raises
+scores the losses as one product of the columns' losses with their
+counts, the errors as one product of the signs with the counts, the
+eval errors as one `weight_error` of the stacked c, and it raises
 at the first step whose loss is not finite.
 
 The fc hinge update takes one step per call; the one-layer and conv
@@ -83,47 +81,36 @@ and the scan goes on from the next row.  Then the block's
 effective weights are one stacked `conv_collapse`, the helper that
 collapses any conv model, and its margins one gather.  One pair
 collapses through np.correlate of w2 with the reversed w1, which is
-np.convolve(w2, w1) without that wrapper's checks.  A stack repeats
-np.correlate's own sums for all its rows at once.  With at most
-SMALL_KERNEL taps, numpy adds an entry's k products in ascending tap
-order from +0.0, and the stack makes each tap one multiply and one add
-over all rows.  With more taps, and for the first k - 1 entries at any
-k, an entry is one BLAS dot, and a stacked (1, n) @ (n, 1) matmul makes
-that same call.
+np.convolve(w2, w1) without that wrapper's checks, and a stack through
+one multiply and one add over all its rows per tap.
 
-A one-layer or fc hinge run is bit for bit that of the per-point loop
-kept as the oracle in the tests.  Every y * x entry is +-1 and every
-count an integer, so s is an integer vector and exact in any summation
-order.  A point's margin is the sum of the same at most two signed
-entries of c, added in the same slot order, as its column's, so it is
-its column's margin bit for bit, and the active set, the crossing
-prediction and the change test of a one-layer block see the same values
-as on every point.  The error sums are exact integers.  A one-layer
+Training and scoring read the distinct columns alone.  A one-layer or
+fc hinge run's weights, snapshots, steps, stops and errors are bit for
+bit those of the per-point loop kept as the oracle in the tests.  Every
+y * x entry is +-1 and every count an integer, so s is an integer
+vector and exact in any summation order.  A point's margin is the sum
+of the same at most two signed entries of c, added in the same slot
+order, as its column's, so it is its column's margin bit for bit, and
+the active set, the crossing prediction and the change test of a
+one-layer block see the same values as on every point.  A one-layer
 block is exact because a cumulative sum adds sequentially, so each row
-is the repeated in-place w += v.  A conv row, a product with M or the
-closed form, rounds otherwise than the loop's per-lag steps: in every
-run the tests compare, a conv run's steps, stops, rescale counts and
-errors are the loop's, and its weights and losses agree to 1e-12
-relative, except where an xhinge row's max-abs lies within a rounding
+is the repeated in-place w += v.  An error is exact: the weighted sum
+of signs is an integer, exact in any summation order, and a column's
+tie band is that of each of its points, whose |x| entries it shares.
+A loss, each column's loss times its count, rounds otherwise than the
+loop's sum over the points, and a conv tensor, a product with M, the
+closed form or a stacked collapse, otherwise than the loop's per-lag
+steps.  In every run the tests compare, a one-layer or fc loss and
+every conv weight and loss agree with the loop's within 1e-12
+relative, and a conv run's steps, stops, rescale counts and errors are
+the loop's, except where an xhinge row's max-abs lies within a rounding
 of RENORM_THRESHOLD.
-The batched losses are exact because the per-point loss array is
-C-ordered: take along the last axis builds a new C-ordered (rows, n)
-array of each point's loss in point order, so the row sums run along
-contiguous rows, each the pairwise sum of one 1-D vector of the values
-the per-point loop sums, in a chunk of rows as in the whole batch.  The
-row sums of a Fortran-ordered array would add its columns one after
-another, a sequential sum, and a sum of each column's loss times its
-count rounds differently again.  An error on the distinct columns is
-exact: the weighted sum of signs is an integer, exact in any summation
-order, and a column's tie band is that of each of its points, whose
-|x| entries it shares.
 """
 
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericalError
 from .linalg import SpectralDecomposition, thin_svd
@@ -259,49 +246,23 @@ def effective_weights(weights):
     raise TypeError(f"unsupported weights type {type(weights).__name__}")
 
 
-# numpy's correlate sums a kernel of at most this many taps in ascending
-# tap order from +0.0, and a longer one with one BLAS dot per output.  A
-# stack repeats those sums, which holds only while numpy's small-kernel
-# loop makes each product and add separately (no fused multiply-add).
-SMALL_KERNEL = 11
-
-
 def conv_collapse(w1, w2):
     """The effective weights of a conv model: w2 convolved with w1,
     truncated to the input length.  w1 and w2 are one (k,) filter and
     its (d,) output layer, or (rows, k) and (rows, d) stacks of them,
-    which give a (rows, d) array.  Each row of a stack is bit for bit
-    that of its own pair, except for which NaN a NaN entry is: numpy's
-    ufuncs pick the sign of a NaN of two NaN operands differently in the
-    body and the tail of one call.  No collapse warns of an overflow."""
+    which give a (rows, d) array.  Each row of a stack agrees with the
+    collapse of its own pair within a rounding of each sum, with the
+    same entries non-finite.  No collapse warns of an overflow."""
     if w1.ndim == 1:
         return np.correlate(w2, w1[::-1], "full")[: w2.shape[0]]
-    # np.correlate's own sums, made for all rows at once.  It reads a
-    # contiguous copy of the reversed filter v; a strided one would send
-    # its dots through numpy's own loop instead of BLAS.
-    (rows, k), d = w1.shape, w2.shape[1]
-    v = w1[:, ::-1].copy()
-    c = np.zeros((rows, d))
+    # Entry m adds w1[:, j] * w2[:, m - j] over the taps j <= m to +0.0.
+    # Transposed, each tap reads one contiguous block of w2's columns.
+    k, d = w1.shape[1], w2.shape[1]
+    w2t, ct = w2.T.copy(), np.zeros((d, w2.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        if k > SMALL_KERNEL:
-            # Entry k - 1 + i is one BLAS dot of w2[i:i + k] and v.
-            windows = sliding_window_view(w2, k, axis=1)[:, :, None, :]
-            np.matmul(windows, v[:, None, :, None], out=c[:, k - 1 :, None, None])
-        else:
-            # Entry k - 1 + i adds w2[i + n] * v[n] for n = 0, ..., k - 1
-            # to +0.0.  Transposed, each tap reads one contiguous block of
-            # w2's columns: at k = 5 and 81 rows that runs in half the
-            # time of the same sums over row slices.
-            w2t, sums = w2.T.copy(), np.zeros((d - k + 1, rows))
-            for n, tap in enumerate(v.T):
-                sums += w2t[n : n + d - k + 1] * tap
-            c[:, k - 1 :] = sums.T
-        # Entry m < k - 1 is one BLAS dot of w2[:m + 1] and v[k - 1 - m:],
-        # and a stacked (1, m + 1) @ (m + 1, 1) matmul makes that call.
-        for m in range(k - 1):
-            np.matmul(w2[:, None, : m + 1], v[:, k - 1 - m :, None],
-                      out=c[:, m : m + 1, None])
-    return c
+        for j in range(k):
+            ct[j:] += w2t[: d - j] * w1[:, j]
+    return ct.T
 
 
 def _design_margins(c, design):
@@ -343,7 +304,7 @@ def weight_error(c, data, tie_scale=None):
     stack, every margin within tie_scale times its column's input mass
     counts as a tie.  Each row of a stack is scored as it would be
     alone."""
-    design, counts, _ = data.distinct
+    design, counts = data.distinct
     # A sum of at most two finite terms that overflows keeps its sign,
     # so every error read from these margins is still right.
     with np.errstate(over="ignore"):
@@ -402,8 +363,7 @@ def _diverged(model, config, what):
 # Cap on rows x width of the arrays that hold and score a batch of steps.
 # The width is that of the widest array a batch holds: d, or k + d for a
 # conv row of [w1 | w2], the training set's u distinct signed columns and
-# the eval set's.  The per-point losses, n wide, are summed in chunks of
-# BLOCK_ELEMENTS // n rows.  glibc malloc trims a free heap top past its
+# the eval set's.  glibc malloc trims a free heap top past its
 # threshold (128 KB by default), so what a batch frees is faulted back in
 # by the next: 64 KB arrays take a third of the page faults of 128 KB ones
 # (1 << 14) and run faster.
@@ -596,12 +556,6 @@ def _conv_xhinge(weights, design, alpha, tr, rescales):
     return update
 
 
-def _point_sums(h, inverse):
-    """The sum over the points of each row of the per-column values h,
-    expanded to the points through the column index ``inverse``."""
-    return h.take(inverse, axis=1).sum(axis=1)
-
-
 _HINGE_UPDATES = {"1layer": _linear_hinge, "conv": _conv_hinge, "fc": _fc_hinge}
 
 
@@ -620,7 +574,7 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
         raise ConfigError("extreme-hinge training is defined for the conv model")
     weights = initial.copy()
     # The training set is held on its distinct signed columns.
-    design, counts, inverse = tr.distinct
+    design, counts = tr.distinct
     n, d = len(tr), tr.d
     rescales = []
     if config.loss == "hinge":
@@ -631,7 +585,6 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
     width = max(d + (weights.w1.shape[0] if model == "conv" else 0), len(counts),
                 0 if eval_set is None else len(eval_set.distinct[1]))
     max_rows = max(1, BLOCK_ELEMENTS // width)
-    loss_rows = max(1, BLOCK_ELEMENTS // n)
     losses, terrs, eerrs = [], [], []
     snaps = [] if record_weights else None
     pending = []  # (effective weights, margins) of the steps not yet scored
@@ -646,10 +599,7 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
             np.maximum(h, 0.0, out=h)
         else:
             h = -m
-        # Each point's loss, in point order: the row sums are those of the
-        # per-point array (see the module docstring).
-        loss = np.concatenate([_point_sums(h[i : i + loss_rows], inverse)
-                               for i in range(0, len(h), loss_rows)]) / n
+        loss = (h @ counts) / n
         finite = np.isfinite(loss)
         if not finite.all():
             step = sum(map(len, losses)) + int(finite.argmin())

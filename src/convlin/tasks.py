@@ -33,9 +33,8 @@ class Dataset:
     holds the labels.  Every margin and error is read from the cached
     distinct columns of the signed design, `distinct`, each standing for
     the points that share it, and every tie tolerance from the cached
-    input `mass` of each column.  A value needed per point, such as a
-    loss, is expanded through the column index that `distinct` gives
-    each point.
+    input `mass` of each column.  A sum over the points, such as a loss,
+    is a sum over the columns weighted by their counts.
     """
 
     task: str
@@ -51,12 +50,10 @@ class Dataset:
     def distinct(self):
         """The distinct columns of the signed design, C-ordered (m, u)
         arrays of the positions and of the y * x values, one row per
-        nonzero slot; a float count of the points that share each; and
-        the (N,) index of each point's column, so that ``yx[:, inverse]``
-        is the signed design of every point.  The points of a cls set
-        share their columns in pairs, and a drawn set repeats its points.
-        The columns are in lexicographic order of their positions, slot
-        by slot, then of their y * x values."""
+        nonzero slot, and a float count of the points that share each.
+        The points of a cls set share their columns in pairs, and a drawn
+        set repeats its points.  The columns are in lexicographic order of
+        their positions, slot by slot, then of their y * x values."""
         positions, yx = self.positions.T, (self.y[:, None] * self.values).T
         # One int64 key per column orders the columns as a sort of the
         # columns themselves would: the positions in slot order, then the
@@ -70,10 +67,9 @@ class Dataset:
             key = key * self.d + p
         for r in ranks.reshape(yx.shape):
             key = key * len(values) + r
-        _, first, inverse, counts = np.unique(key, return_index=True,
-                                              return_inverse=True, return_counts=True)
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
         columns = tuple(np.ascontiguousarray(a[:, first]) for a in (positions, yx))
-        return columns, counts.astype(float), inverse
+        return columns, counts.astype(float)
 
     @cached_property
     def mass(self):

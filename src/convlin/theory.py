@@ -5,17 +5,18 @@ into two pieces: the chance that the training positions fail a
 primitivity condition on the Gram matrix of the training average, and a
 coverage term counting test positions farther than k-1 from every
 training position (those get margin zero, hence half credit).  This
-module has closed forms and Monte-Carlo estimators for both pieces
-(the adjacent-pair failure also exactly, in integer arithmetic), the
-matching one-layer closed form, the sample-complexity consequences, and
-the evenly-spaced training construction for which the conv advantage
-provably vanishes.  The adjacent-pair estimator draws its trials in
-blocks of fixed size, so its memory does not grow with trials or n.  It
-marks a row's positions past the first few only if those hold no pair,
-and offsets only the positions it marks.  On the bound-curves grid
-(d = 100, 10^4 trials at each of 18 values of n) drawing the positions
-takes about three quarters of its time.  Its result and generator state
-equal those of one draw of every position, marked in full.
+module has closed forms and Monte-Carlo estimators for both pieces, the
+first through its sufficient adjacent-pair condition (whose failure it
+also counts exactly, in integer arithmetic), the matching one-layer
+closed form, the sample-complexity consequences, and the evenly-spaced
+training construction for which the conv advantage provably vanishes.
+The adjacent-pair estimator draws its trials in blocks of fixed size, so
+its memory does not grow with trials or n.  It marks a row's positions
+past the first few only if those hold no pair, and offsets only the
+positions it marks.  On the bound-curves grid (d = 100, 10^4 trials at
+each of 18 values of n) drawing the positions takes about three quarters
+of its time.  Its result and generator state equal those of one draw of
+every position, marked in full.
 
 Positions are 1-based throughout this module.
 """
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .linalg import is_primitive_bruteforce
-from .shift import shift_matrix
 from .tasks import Dataset
 
 # Most positions, and most position marks, that one block of trials in
@@ -166,30 +165,6 @@ def _float_quotient(num, den, what):
     if q == 0.0 and num != 0:
         raise NumericalError(f"{what} is below the smallest positive double")
     return q
-
-
-def estimate_prob_nonprimitive(d, k, n, trials, rng):
-    """Monte-Carlo estimate of the Gram matrix not being primitive.
-
-    The tighter, slower companion of `estimate_prob_no_adjacent_pair`:
-    per trial it builds the exact integer zero pattern of the training
-    average for n uniform positions and brute-forces primitivity of its
-    Gram matrix.  Returns (estimate, binomial standard error).
-    """
-    if trials < 100:
-        raise ConfigError(f"need at least 100 trials, got {trials}")
-    _check_dk(d, k)
-    _check_n(n)
-    misses = 0
-    for _ in range(trials):
-        pos = rng.integers(0, d, size=n)
-        hist = np.bincount(pos, minlength=d)
-        cols = shift_matrix(hist, k)
-        if not is_primitive_bruteforce(cols.T @ cols):
-            misses += 1
-    p = misses / trials
-    se = math.sqrt(p * (1.0 - p) / trials)
-    return p, se
 
 
 def _check_dk(d, k):

@@ -18,8 +18,9 @@ sparse design, scores a degenerate set's draws and an estimate's simple
 sets in blocks, and gathers a shift matrix through one index.  The
 traces sidecar is written here row by row through csv.writer.  A
 separating weight vector per task, the mean test error and the summary
-values of result rows, and training from a drawn init are here too, as
-only the tests read them.
+values of result rows, training from a drawn init and a brute-force
+estimate of the chance that a training average's Gram matrix is not
+primitive are here too, as only the tests read them.
 """
 
 import csv
@@ -28,14 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from convlin import theory
 from convlin.dynamics import (
     ZERO_MARGIN_FRAC,
     AsymptoticErrorEstimate,
     asymptotic_error_for_trainset,
     asymptotic_weights,
 )
-from convlin.errors import NumericalError, ShapeError
+from convlin.errors import ConfigError, NumericalError, ShapeError
 from convlin.harness import _mean_se
+from convlin.linalg import is_primitive_bruteforce
 from convlin.models import (
     RENORM_THRESHOLD,
     TRACE_COLUMNS,
@@ -266,6 +269,31 @@ def distinct_by_sort(data):
     # numpy 2.0.0 alone gives this inverse a leading axis of length 1.
     return ((columns[:m].astype(np.intp, order="C"), columns[m:].copy()),
             counts.astype(float), inverse.reshape(-1))
+
+
+def estimate_prob_nonprimitive(d, k, n, trials, rng):
+    """Monte-Carlo estimate of the Gram matrix not being primitive.
+
+    The tighter, slower companion of
+    `theory.estimate_prob_no_adjacent_pair`: per trial it builds the
+    exact integer zero pattern of the training average for n uniform
+    positions and brute-forces primitivity of its Gram matrix.  Returns
+    (estimate, binomial standard error).
+    """
+    if trials < 100:
+        raise ConfigError(f"need at least 100 trials, got {trials}")
+    theory._check_dk(d, k)
+    theory._check_n(n)
+    misses = 0
+    for _ in range(trials):
+        pos = rng.integers(0, d, size=n)
+        hist = np.bincount(pos, minlength=d)
+        cols = shift_matrix(hist, k)
+        if not is_primitive_bruteforce(cols.T @ cols):
+            misses += 1
+    p = misses / trials
+    se = math.sqrt(p * (1.0 - p) / trials)
+    return p, se
 
 
 def write_traces_csv(traces, path):

@@ -183,9 +183,8 @@ class TestDenseView:
 
 
 class TestDistinct:
-    """`Dataset.distinct`: the distinct columns of the signed design, the
-    number of points that share each and the index of each point's
-    column."""
+    """`Dataset.distinct`: the distinct columns of the signed design and
+    the number of points that share each."""
 
     @staticmethod
     def _columns(design):
@@ -203,7 +202,7 @@ class TestDistinct:
 
     def test_counts_cover_every_point_once(self):
         for ds in self._sets():
-            (positions, yx), counts, _ = ds.distinct
+            (positions, yx), counts = ds.distinct
             assert counts.dtype == float and counts.sum() == len(ds)
             assert positions.dtype == np.intp and positions.shape == yx.shape
             assert positions.flags.c_contiguous and yx.flags.c_contiguous
@@ -215,16 +214,18 @@ class TestDistinct:
             assert list(shared.values()) == counts.tolist()
 
     def test_inverse_rebuilds_the_signed_design(self):
-        """Each point's column index gathers the signed design back bit
-        for bit and counts each column's points: on every set above, on
-        one point drawn 40 times (one column) and on a whole 3rdctrl set
-        (a column per point)."""
+        """Each point's column index, from a sort of the columns, gathers
+        the signed design back from the columns bit for bit and counts
+        each column's points: on every set above, on one point drawn 40
+        times (one column) and on a whole 3rdctrl set (a column per
+        point)."""
         cls = whole_dataset("cls", 10)
         one = Dataset(task="cls", d=10, positions=cls.positions[[7] * 40],
                       values=cls.values[[7] * 40], y=cls.y[[7] * 40])
         third = whole_dataset("3rdctrl", 12)
         for ds in (*self._sets(), one, third):
-            (positions, yx), counts, inverse = ds.distinct
+            (positions, yx), counts = ds.distinct
+            inverse = distinct_by_sort(ds)[2]
             assert inverse.shape == (len(ds),) and inverse.dtype == np.intp
             rebuilt = positions[:, inverse], yx[:, inverse]
             for got, want in zip(rebuilt, signed_design(ds)):
@@ -234,10 +235,10 @@ class TestDistinct:
         assert third.distinct[1].shape == (len(third),)
 
     def test_matches_a_sort_of_the_columns(self):
-        """The one-key `distinct` gives the columns, their order, the
-        counts and the column index of a sort of the stacked columns bit
-        for bit: on every set above, on drawn sets of 300, and on sets of
-        two nonzeros whose values are not +-1, some of them shared."""
+        """The one-key `distinct` gives the columns, their order and the
+        counts of a sort of the stacked columns bit for bit: on every set
+        above, on drawn sets of 300, and on sets of two nonzeros whose
+        values are not +-1, some of them shared."""
         rng = np.random.default_rng(9)
         wholes = [whole_dataset(task, d) for task, d in ALL_TASK_DIMS]
         odd = [Dataset(task="3rdctrl", d=6, positions=rng.integers(0, 6, (n, 2)),
@@ -246,10 +247,10 @@ class TestDistinct:
                for n in (1, 40, 500)]
         for ds in (*self._sets(), *(sample_training_set(w, 300, rng) for w in wholes),
                    *odd):
-            (positions, yx), counts, inverse = ds.distinct
-            (want_positions, want_yx), want_counts, want_inverse = distinct_by_sort(ds)
+            (positions, yx), counts = ds.distinct
+            (want_positions, want_yx), want_counts, _ = distinct_by_sort(ds)
             for got, want in ((positions, want_positions), (yx, want_yx),
-                              (counts, want_counts), (inverse, want_inverse)):
+                              (counts, want_counts)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
         assert len(odd[2].distinct[1]) < 500
@@ -268,7 +269,7 @@ class TestDistinct:
     def test_cls_points_share_columns_in_pairs(self):
         """+e_l labelled +1 and -e_l labelled -1 have the same signed
         column; the other tasks have none in common."""
-        (positions, yx), counts, _ = whole_dataset("cls", 100).distinct
+        (positions, yx), counts = whole_dataset("cls", 100).distinct
         np.testing.assert_array_equal(positions, np.arange(100)[None])
         np.testing.assert_array_equal(yx, np.ones((1, 100)))
         np.testing.assert_array_equal(counts, np.full(100, 2.0))

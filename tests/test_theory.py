@@ -25,14 +25,13 @@ from convlin.theory import (
     coverage_term_exact,
     decomposition_report,
     estimate_prob_no_adjacent_pair,
-    estimate_prob_nonprimitive,
     has_adjacent_pair,
     onelayer_error,
     prob_no_adjacent_pair_exact,
     sample_complexity,
     sparse_training_set,
 )
-from oracles import dense_point
+from oracles import dense_point, estimate_prob_nonprimitive
 
 
 def gram_of_positions(pos_0b, d, k):
