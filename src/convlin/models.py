@@ -44,26 +44,26 @@ counts, the errors as one product of the signs with the counts, the
 eval errors as one `weight_error` of the stacked c, and it raises
 at the first step whose loss is not finite.
 
-The fc hinge update takes one step per call; the one-layer and conv
-hinge updates take blocks of steps.  The active sum s is one bincount
-of the active columns' y * x times their counts, a product made once
-per run.  While the active set stays the same, s is fixed.  A one-layer
-step then adds the same v = (alpha / n) s to w, so the weights of J
-steps are one cumulative sum down the rows [w + v; v; ...; v], and
-their margins one (J, u) gather.  A conv step is the extreme-hinge step
-below with M = `shift.shift_matrix(s, k)` and rate alpha / n.  The conv
-update takes its first step as two products with M.  If that step kept
-the active set, it writes the further steps in closed form, through
-`xhinge_iterates` on the thin SVD of M, and collapses the block once; a
-single step decomposes nothing.  A block ends at the first row whose
-active set differs, and J comes from each margin's crossing of 1,
-predicted as if the margins moved linearly with the step count, as only
-one-layer margins do; the prediction only sets how much is computed,
-and the change test decides every result.  Where the active set keeps
-changing, as late in a 3rdctrl run, the conv update stops testing it: a
-try that takes fewer than three steps is followed by single steps
-without a try, for a wait that doubles with each failed try in a row,
-up to MAX_WAIT steps.  A try that succeeds resets the wait to zero.
+Every hinge update takes blocks of steps.  The active sum s is one
+bincount of the active columns' y * x times their counts, a product
+made once per run.  While the active set stays the same, s is fixed.  A
+one-layer step then adds the same v = (alpha / n) s to w, so the
+weights of J steps are one cumulative sum down the rows
+[w + v; v; ...; v], and their margins one (J, u) gather.  A conv step
+is the extreme-hinge step below with M = `shift.shift_matrix(s, k)` and
+rate alpha / n.  The conv and fc updates take their first step directly
+and, if it kept the active set, the further steps in closed form: conv
+through `xhinge_iterates` on the thin SVD of M, which no single step
+computes, and fc as combinations of W1^T w2, W1^T W1 s and s, writing
+W1 and w2 once per block.  A block ends at the first row whose active
+set differs, and J comes from each margin's crossing of 1, predicted as
+if the margins moved linearly with the step count, as only one-layer
+margins do; the prediction only sets how much is computed, and the
+change test decides every result.  Where the active set keeps changing,
+as late in a 3rdctrl run, the conv update stops testing it: a try that
+takes fewer than three steps is followed by single steps without a try,
+for a wait that doubles with each failed try in a row, up to MAX_WAIT
+steps.  A try that succeeds resets the wait to zero.
 
 The conv xhinge update takes a block of steps too.  Its step is linear
 in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
@@ -84,31 +84,29 @@ collapses through np.correlate of w2 with the reversed w1, which is
 np.convolve(w2, w1) without that wrapper's checks, and a stack through
 one multiply and one add over all its rows per tap.
 
-Training and scoring read the distinct columns alone.  A one-layer or
-fc hinge run's weights, snapshots, steps, stops and errors are bit for
-bit those of the per-point loop kept as the oracle in the tests.  Every
+Training and scoring read the distinct columns alone.  A one-layer
+hinge run's weights, snapshots, steps, stops and errors are bit for bit
+those of the per-point loop kept as the oracle in the tests.  Every
 y * x entry is +-1 and every count an integer, so s is an integer
 vector and exact in any summation order.  A point's margin is the sum
 of the same at most two signed entries of c, added in the same slot
-order, as its column's, so it is its column's margin bit for bit, and
-the active set, the crossing prediction and the change test of a
-one-layer block see the same values as on every point.  A one-layer
-block is exact because a cumulative sum adds sequentially, so each row
-is the repeated in-place w += v.  An error is exact: the weighted sum
-of signs is an integer, exact in any summation order, and a column's
-tie band is that of each of its points, whose |x| entries it shares.
-A loss, each column's loss times its count, rounds otherwise than the
-loop's sum over the points, and a conv tensor, a product with M, the
-closed form or a stacked collapse, otherwise than the loop's per-lag
-steps.  In every run the tests compare, a one-layer or fc loss and
-every conv weight and loss agree with the loop's within 1e-12
-relative, and a conv run's steps, stops, rescale counts and errors are
-the loop's, except where an xhinge row's max-abs lies within a rounding
-of RENORM_THRESHOLD.
+order, as its column's, so it is its column's margin bit for bit.  A
+one-layer block is exact because a cumulative sum adds sequentially,
+so each row is the repeated in-place w += v.  An error is exact: the
+weighted sum of signs is an integer, and a column's tie band is that of
+each of its points, whose |x| entries it shares.  A loss, each column's
+loss times its count, rounds otherwise than the loop's sum over the
+points, and a conv or fc tensor, a product or a closed form, otherwise
+than the loop's steps.  In every run the tests compare, every loss and
+every conv and fc weight agree with the loop's within 1e-12 relative,
+and a conv or fc run's steps, stops, rescale counts and errors are the
+loop's, except where an xhinge row's max-abs lies within a rounding of
+RENORM_THRESHOLD.
 """
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -397,14 +395,11 @@ def _held(margins, act):
     return changed[0] if changed.size else len(margins)
 
 
-# The updates.  Each advances ``weights`` from the active set ``act`` of
-# the margins m and returns the effective weights and margins of the
-# steps it took, at most ``steps`` of them (see the module docstring),
-# and the weights after each of those steps, which the loop copies to
-# record them before the next update.  The margins are those of the
-# training set's distinct columns, ``design``; a hinge update sums the
-# active ones through their count-weighted copy, ``weighted``, and a
-# hinge step adds ``scale`` = alpha / n times the gradient.
+# The updates, as the module docstring describes them, each of at most
+# ``steps`` steps.  The margins are those of the training set's distinct
+# columns, ``design``; a hinge update sums the active ones through their
+# count-weighted copy, ``weighted``, and a hinge step adds ``scale`` =
+# alpha / n times the gradient.
 
 def _linear_hinge(weights, design, weighted, scale):
     d = weights.w.shape[0]
@@ -487,28 +482,54 @@ def _conv_hinge(weights, design, weighted, scale):
 def _fc_hinge(weights, design, weighted, scale):
     d = weights.w2.shape[0]
 
+    def extend(m, act, s, c, first, steps):
+        """As `_conv_hinge`'s, from the effective weights c of the first
+        step (the closed form is derived in test_fc_closed_form)."""
+        steps = _block_steps(m, first, steps)
+        W1, w2 = weights.W1, weights.w2
+        p, root, t = W1 @ s, math.sqrt(s @ s), np.arange(steps)
+        lam_p, lam_m = _growth_factors(scale * root, t)
+        a = 0.5 * lam_p
+        # At s = 0, lam_m / (2 |s|) is 0/0; its limit is t * scale.
+        b = lam_m / (2.0 * root) if root else scale * t
+        # The sums of a and b over the steps before each row.
+        A, B = np.zeros(steps), np.zeros(steps)
+        np.cumsum(a[:-1], out=A[1:])
+        np.cumsum(b[:-1], out=B[1:])
+        ww, wp, pp = w2 @ w2, w2 @ p, p @ p
+        gamma = scale * (A * (a * ww + b * wp) + B * (a * wp + b * pp))
+        block = np.empty((steps, d))
+        block[0] = c[0]
+        block[1:] = np.column_stack((a, b, gamma))[1:] @ np.vstack((c[0], W1.T @ p, s))
+        margins = _design_margins(block, design)
+        rows = min(_held(margins, act) + 1, steps)
+
+        def at(r):
+            return FCWeights(W1 + scale * np.outer(A[r] * w2 + B[r] * p, s),
+                             a[r] * w2 + b[r] * p)
+
+        last = at(rows - 1)
+        weights.W1, weights.w2 = last.W1, last.w2
+        return (block[:rows], margins[:rows],
+                chain((FCWeights(W1, w2),), map(at, range(1, rows))))
+
     def update(m, act, steps):
         s = _active_sum(act, weighted, d)
         g_W1 = np.outer(weights.w2, s)
         g_w2 = weights.W1 @ s
         weights.W1 += scale * g_W1
         weights.w2 += scale * g_w2
-        return _state(weights, design)
+        c, margins, stepped = _state(weights, design)
+        if steps > 1 and _held(margins, act):
+            c, margins, stepped = extend(m, act, s, c, margins[0], steps)
+        return c, margins, stepped
 
     return update
 
 
-def xhinge_iterates(dec, alpha, w1, w2, t):
-    """The iterate of the conv step w1 + alpha M^T w2, w2 + alpha M w1 in
-    closed form (see `convlin.dynamics`) after each of the step counts t
-    from the start (w1, w2), with ``dec`` the thin SVD of M: one
-    [w1 | w2] row per step count, and the growth factors lam_plus and
-    lam_minus of each step count as (len(t), k) arrays.  M is the
-    training average in an extreme-hinge run (`_conv_xhinge`, and
-    `dynamics.closed_form_weights`), and the shift matrix of the active
-    sum in a conv hinge block (`_conv_hinge`)."""
-    x = alpha * dec.sigma
-    t = np.asarray(t, dtype=float)[:, None]
+def _growth_factors(x, t):
+    """lam_pm = (1 + x)^t +- (1 - x)^t for the rates x and step counts t,
+    broadcast together."""
     # lam_pm = (1 + x)^t (1 +- r^t) with r = (1 - x) / (1 + x), without
     # cancellation: ln |r| and 1 - |r|^t through log1p and expm1.  For
     # x > 1, r < 0, so an odd t swaps the two; at x = 1, 0^0 = 1.
@@ -517,8 +538,19 @@ def xhinge_iterates(dec, alpha, w1, w2, t):
         tail = -np.expm1(np.where(t > 0, t * log_r, 0.0))
     grow = np.exp(t * np.log1p(x))
     swap = (x > 1.0) & (t % 2 == 1)
-    lam_p = grow * np.where(swap, tail, 2.0 - tail)
-    lam_m = grow * np.where(swap, 2.0 - tail, tail)
+    return (grow * np.where(swap, tail, 2.0 - tail),
+            grow * np.where(swap, 2.0 - tail, tail))
+
+
+def xhinge_iterates(dec, alpha, w1, w2, t):
+    """The iterate of the conv step w1 + alpha M^T w2, w2 + alpha M w1 in
+    closed form (see `convlin.dynamics`) after each of the step counts t
+    from (w1, w2), with ``dec`` the thin SVD of M: one [w1 | w2] row per
+    step count, and the (len(t), k) growth factors of alpha sigma.  M is
+    the training average or, in a conv hinge block, the shift matrix of
+    the active sum."""
+    t = np.asarray(t, dtype=float)[:, None]
+    lam_p, lam_m = _growth_factors(alpha * dec.sigma, t)
     a, b = dec.V.T @ w1, dec.U.T @ w2
     w1s = 0.5 * (lam_p * a + lam_m * b) @ dec.V.T
     w2s = 0.5 * (lam_m * a + lam_p * b) @ dec.U.T + (w2 - dec.U @ b)

@@ -184,7 +184,7 @@ class TestGoldenOutputs:
         "gen-curve": {
             "rows.csv": "5a28bce6e3c91ff2cd3baae60ef9abb778cd8791a21124fcbf7454e67432a15f",
             "rows.csv.weights.json":
-                "ab9824a0eb807811d4d7c501bd9a6d60592ebd262d2e165baca4fd981f92f006",
+                "18130e09bbff2c024561920f5654455e574003ff789d9ae8376fce065d7e86c1",
         },
         "asym-vs-losses": {
             "rows.csv": "f5218e20938a2436faf3fbf06f49984eac288f32fa25dd471670a1a1b58ed4fb",

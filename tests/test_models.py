@@ -738,11 +738,11 @@ def assert_same_weights(a, b):
         assert np.array_equal(np.signbit(tensor), np.signbit(other)), name
 
 
-# A conv run steps through products with a shift matrix and writes its
-# blocks in closed form, which round otherwise than the per-lag step loop,
-# and every run sums its losses over the distinct columns, weighted by
-# their counts, not over the points: such values are held to the loop's
-# within this, relative to each tensor's max-abs.
+# A conv run steps through products with a shift matrix, conv and fc
+# runs write their blocks in closed form, which round otherwise than the
+# step loop, and every run sums its losses over the distinct columns,
+# weighted by their counts, not over the points: such values are held to
+# the loop's within this, relative to each tensor's max-abs.
 CLOSED_FORM_RTOL = 1e-12
 
 
@@ -781,22 +781,22 @@ def assert_same_trace(a, b):
 
 
 def assert_close_trace(a, b):
-    """Two conv traces take the same steps, stop and rescale alike and
-    count the same errors; their losses, snapshots and weight tensors
+    """Two conv or fc traces take the same steps, stop and rescale alike
+    and count the same errors; their losses, snapshots and weight tensors
     agree within CLOSED_FORM_RTOL."""
     _assert_trace(a, b, _assert_close_array, assert_close_weights)
 
 
 def assert_same_trace_but_loss(a, b):
-    """Every field, snapshot and weight tensor of two one-layer or fc
-    traces is equal bit for bit, except the losses, which agree within
+    """Every field, snapshot and weight tensor of two one-layer traces is
+    equal bit for bit, except the losses, which agree within
     CLOSED_FORM_RTOL."""
     _assert_trace(a, b, _assert_close_array, assert_same_weights)
 
 
 # The check of `train` against the step loop, by model and loss.
 ORACLE_CHECKS = {("1layer", "hinge"): assert_same_trace_but_loss,
-                 ("fc", "hinge"): assert_same_trace_but_loss,
+                 ("fc", "hinge"): assert_close_trace,
                  ("conv", "hinge"): assert_close_trace,
                  ("conv", "xhinge"): assert_close_trace}
 
@@ -839,8 +839,8 @@ ORACLE_RUNS = [("1layer", "hinge"), ("conv", "hinge"), ("fc", "hinge"),
 
 class TestScalarOracle:
     """`train` against the per-lag scalar loop it replaced, through
-    ORACLE_CHECKS: for a one-layer or fc run, every trace field, snapshot
-    and final weight tensor but the losses is bitwise equal; a conv run
+    ORACLE_CHECKS: for a one-layer run, every trace field, snapshot and
+    final weight tensor but the losses is bitwise equal; a conv or fc run
     meets `assert_close_trace`."""
 
     @pytest.mark.parametrize("d,k", ORACLE_SHAPES)
@@ -850,8 +850,8 @@ class TestScalarOracle:
     @pytest.mark.parametrize("with_eval", (False, True))
     def test_bitwise_equal(self, d, k, task, model, loss, init, with_eval):
         """Each run meets its ORACLE_CHECKS entry: bitwise but for the
-        losses for one-layer and fc runs, within CLOSED_FORM_RTOL for
-        conv runs."""
+        losses for one-layer runs, within CLOSED_FORM_RTOL for conv and
+        fc runs."""
         whole = whole_dataset(task, d)
         tr = sample_training_set(whole, 25, np.random.default_rng(d + k))
         if loss == "hinge":
@@ -900,7 +900,8 @@ class TestScalarOracle:
     def test_linear_blocks_at_scale(self, task, max_steps, with_eval, model):
         """d = 100, k = 5, n = 300: hundreds of steps, scored in batches
         of up to 78 rows on cls (81 for 1layer and fc), which 1layer and
-        conv runs take in blocks of tens of steps to zero loss.  The
+        conv runs take in blocks of tens of steps to zero loss, and fc
+        runs in blocks of a few steps after a first of 76.  The
         3rdctrl set has 296 distinct columns, which cap a batch at 27
         rows, its active set changes at almost every step, and its
         9900-point whole set caps a batch at one row."""
@@ -963,18 +964,19 @@ class TestScalarOracle:
         ORACLE_CHECKS["1layer", "hinge"](got, want)
 
     @staticmethod
-    def _conv_at_scale(max_steps=100_000, k=5, with_eval=True):
-        """A conv cls run at d = 100 and n = 300, against the oracle."""
+    def _at_scale(model, max_steps=100_000, k=5, with_eval=True, alpha=None):
+        """A cls run at d = 100 and n = 300, against the oracle; returns
+        both traces."""
         whole = whole_dataset("cls", 100)
         tr = sample_training_set(whole, 300, np.random.default_rng(11))
-        cfg = TrainConfig(loss="hinge", max_steps=max_steps)
+        cfg = TrainConfig(loss="hinge", max_steps=max_steps, alpha=alpha)
         eval_set = whole if with_eval else None
-        want = scalar_train("conv", tr, cfg, np.random.default_rng(12), k=k,
+        want = scalar_train(model, tr, cfg, np.random.default_rng(12), k=k,
                             eval_set=eval_set, record_weights=True)
-        got = train_drawn("conv", tr, cfg, np.random.default_rng(12), k=k,
+        got = train_drawn(model, tr, cfg, np.random.default_rng(12), k=k,
                           eval_set=eval_set, record_weights=True)
-        assert_close_trace(got, want)
-        return got
+        ORACLE_CHECKS[model, "hinge"](got, want)
+        return got, want
 
     @pytest.mark.parametrize("max_steps,blocks", [
         (1, [1]), (2, [2]), (37, [37]), (77, [77]), (100, [77, 23])])
@@ -984,7 +986,7 @@ class TestScalarOracle:
         1-77 (the batch's room after step 0) and the second goes on
         until step 135.  These budgets end the run at the first step,
         inside the first block, on its last row and inside the second."""
-        got = self._conv_at_scale(max_steps)
+        got, _ = self._at_scale("conv", max_steps)
         assert got.stop_reason == "step-budget"
         assert hinge_steps == blocks
 
@@ -993,7 +995,8 @@ class TestScalarOracle:
         """A filter of k = 20 taps, whose stacked collapse adds 20
         products per entry.  The run fits in 520 steps, the first 67 in
         one block."""
-        assert self._conv_at_scale(k=20, with_eval=with_eval).steps_run == 520
+        got, _ = self._at_scale("conv", k=20, with_eval=with_eval)
+        assert got.steps_run == 520
         assert hinge_steps[0] == 67 and sum(n > 1 for n in hinge_steps) > 5
 
     def test_conv_divergence_inside_block(self, hinge_steps):
@@ -1028,6 +1031,94 @@ class TestScalarOracle:
         assert got.stop_reason == "step-budget"
         assert_close_trace(got, want)
         assert max(hinge_steps) > 1
+
+    @pytest.mark.parametrize("with_eval", (False, True))
+    def test_fc_closed_form(self, with_eval, hinge_steps):
+        """While the active set holds, its sum s is fixed.  With h =
+        alpha / n, p = W1 s and q = s.s, one fc step, W1 += h w2 s^T and
+        w2 += h p, maps (w2, p) by [[1, h], [h q, 1]], whose eigenvalues
+        are 1 +- h sqrt(q).  So after t steps w2_t = a_t w2 + b_t p with
+        a_t = lam_plus / 2 and b_t = lam_minus / (2 sqrt(q)), where lam_pm
+        = (1 + h sqrt(q))^t +- (1 - h sqrt(q))^t, and W1_t = W1 + h S_t s^T
+        with S_t = A_t w2 + B_t p, A_t and B_t the sums of a and b over
+        the steps before t.  Then c_t = W1_t^T w2_t = a_t W1^T w2 + b_t
+        W1^T p + gamma_t s, where gamma_t = h [A_t, B_t] G [a_t, b_t]^T
+        and G is the Gram matrix of (w2, p).
+
+        A block keeps its rows up to the first that changes the active
+        set, and all J of them if none does: of this run's blocks, the
+        first, of 76 steps, ends at a change, and the second, of 4, at
+        the batch's 81 rows.  The run takes its 613 steps in 81 calls."""
+        got, want = self._at_scale("fc", with_eval=with_eval)
+        assert hinge_steps[:2] == [76, 4] and sum(hinge_steps) == got.steps_run
+        assert 5 * len(hinge_steps) < got.steps_run
+        tr = sample_training_set(whole_dataset("cls", 100), 300,
+                                 np.random.default_rng(11))
+        design = tr.distinct[0]
+        active = [_design_margins(effective_weights(w), design) < 1.0
+                  for w in want.weights_per_step]
+        assert (active[76] != active[0]).any()
+        assert (active[80] == active[76]).all()
+
+    @pytest.mark.parametrize("max_steps,blocks", [
+        (1, [1]), (2, [2]), (37, [37]), (76, [76]),
+        (100, [76, 4, 1, 9, 5, 1, 1, 3])])
+    def test_fc_budget_inside_block(self, max_steps, blocks, hinge_steps):
+        """A batch holds 81 rows of d = 100.  These budgets end the fc run
+        at the first step, inside the first block, on its last row and
+        inside the eighth."""
+        got, _ = self._at_scale("fc", max_steps)
+        assert got.stop_reason == "step-budget"
+        assert hinge_steps == blocks
+
+    def test_fc_divergence_inside_block(self, hinge_steps):
+        """At alpha = 1e4 the active set holds from the start while the
+        weights overflow: the run raises at step 46, inside its one block,
+        with the oracle's message."""
+        whole = whole_dataset("cls", 40)
+        tr = sample_training_set(whole, 30, np.random.default_rng(5))
+        cfg = TrainConfig(loss="hinge", alpha=1e4)
+        with pytest.raises(NumericalError) as want:
+            scalar_train("fc", tr, cfg, np.random.default_rng(6), eval_set=whole)
+        with pytest.raises(NumericalError) as got:
+            train_drawn("fc", tr, cfg, np.random.default_rng(6), eval_set=whole)
+        assert str(got.value) == str(want.value)
+        assert "the loss at step 46 is not finite" in str(got.value)
+        assert hinge_steps == [47]
+
+    def test_fc_zero_active_sum(self, hinge_steps):
+        """The set of `test_conv_zero_active_sum`: with q = 0, b_t is
+        0 / 0, and its limit t h keeps every weight where it is."""
+        whole = whole_dataset("cls", 20)
+        tr = Dataset(task="cls", d=20, positions=whole.positions[[3, 3]],
+                     values=whole.values[[3, 3]], y=np.array([1, -1]))
+        cfg = TrainConfig(loss="hinge", max_steps=200)
+        want = scalar_train("fc", tr, cfg, np.random.default_rng(2),
+                            eval_set=whole, record_weights=True)
+        got = train_drawn("fc", tr, cfg, np.random.default_rng(2),
+                          eval_set=whole, record_weights=True)
+        assert got.stop_reason == "step-budget"
+        assert_close_trace(got, want)
+        assert max(hinge_steps) > 1
+
+    def test_fc_fast_rate(self, hinge_steps):
+        """At alpha = 1e3, h sqrt(q) > 1 on the first active set, so
+        1 - h sqrt(q) < -1 and lam_pm swap at odd t: the run fits in one
+        block of 13 steps."""
+        whole = whole_dataset("cls", 40)
+        tr = sample_training_set(whole, 30, np.random.default_rng(5))
+        cfg = TrainConfig(loss="hinge", alpha=1e3)
+        want = scalar_train("fc", tr, cfg, np.random.default_rng(6),
+                            eval_set=whole, record_weights=True)
+        got = train_drawn("fc", tr, cfg, np.random.default_rng(6),
+                          eval_set=whole, record_weights=True)
+        assert_close_trace(got, want)
+        assert got.stop_reason == "loss-zero" and hinge_steps == [13]
+        # Every point starts active, so s sums them all.
+        c = effective_weights(want.weights_per_step[0])
+        assert (_design_margins(c, tr.distinct[0]) < 1.0).all()
+        s = dense(tr).T @ tr.y
+        assert cfg.alpha / len(tr) * np.sqrt(s @ s) > 1.0
 
     @pytest.mark.parametrize("model", ("1layer", "conv", "fc"))
     def test_many_points(self, model):
@@ -1217,13 +1308,13 @@ class TestBlockCap:
     def test_batch_arrays_within_cap(self, model, task, n, with_eval, monkeypatch):
         """cls at n = 300 (a conv block holds up to 78 rows of 105) and
         3rdctrl at n = 500, whose about 490 distinct columns cap a batch
-        at 16 rows; each conv and 1layer run takes blocks.  A 3rdctrl
-        1layer run stops at its 3000-step budget."""
+        at 16 rows; every run takes blocks.  A 3rdctrl 1layer run stops
+        at its 3000-step budget."""
         sizes, blocks = [], []
 
         def check(weights, c, margins):
-            # A conv block holds its [w1 | w2] rows, a one-layer block its
-            # weight rows, which are its effective weights.
+            # A conv block holds its [w1 | w2] rows, a one-layer or fc block
+            # rows of d.
             width = sum(w.shape[-1] for w in vars(weights).values() if w.ndim == 1)
             sizes.extend((len(c) * width, c.size, margins.size))
             blocks.append(len(c))
@@ -1243,7 +1334,7 @@ class TestBlockCap:
         train_drawn(model, tr, TrainConfig(loss="hinge", max_steps=3000),
                     np.random.default_rng(16), k=5, eval_set=eval_set)
         assert max(sizes) <= BLOCK_ELEMENTS
-        assert (max(blocks) > 1) == (model != "fc")
+        assert max(blocks) > 1
 
 
 def _per_element_rows(trace):
