@@ -60,10 +60,10 @@ set differs, and J comes from each margin's crossing of 1, predicted as
 if the margins moved linearly with the step count, as only one-layer
 margins do; the prediction only sets how much is computed, and the
 change test decides every result.  Where the active set keeps changing,
-as late in a 3rdctrl run, the conv update stops testing it: a try that
-takes fewer than three steps is followed by single steps without a try,
-for a wait that doubles with each failed try in a row, up to MAX_WAIT
-steps.  A try that succeeds resets the wait to zero.
+as late in a 3rdctrl run, the conv and fc updates stop testing it, by
+one rule: a try that takes fewer than three steps is followed by single
+steps without a try, for a wait that doubles with each failed try in a
+row, up to MAX_WAIT steps.  A try that succeeds resets the wait to zero.
 
 The conv xhinge update takes a block of steps too.  Its step is linear
 in the weights, w1 + alpha M^T w2 and w2 + alpha M w1 with M the
@@ -105,6 +105,7 @@ RENORM_THRESHOLD.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -188,6 +189,10 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown init scheme {self.init!r}; expected one of {INIT_SCHEMES}"
             )
+        # A uniform draw on [-b, b] needs its width 2b to be a finite double.
+        if self.init == "uniform" and self.b > sys.float_info.max / 2:
+            raise ConfigError(f"a uniform init needs b <= {sys.float_info.max / 2!r}, "
+                              f"half the largest double, got {self.b}")
 
     def _schemes(self):
         """The init schemes of the first layer and of the output layer."""
@@ -250,7 +255,11 @@ def conv_collapse(w1, w2):
     its (d,) output layer, or (rows, k) and (rows, d) stacks of them,
     which give a (rows, d) array.  Each row of a stack agrees with the
     collapse of its own pair within a rounding of each sum, with the
-    same entries non-finite.  No collapse warns of an overflow."""
+    same entries non-finite, but not always the same non-finite value:
+    an entry whose products hold both +inf and -inf is NaN in a stack
+    and may be +-inf from the pair's np.correlate.  `error_from_margins`
+    counts a NaN margin 0 and a -inf margin 1, so only finite weights
+    have one defined error.  No collapse warns of an overflow."""
     if w1.ndim == 1:
         return np.correlate(w2, w1[::-1], "full")[: w2.shape[0]]
     # Entry m adds w1[:, j] * w2[:, m - j] over the taps j <= m to +0.0.
@@ -391,8 +400,9 @@ def _held(margins, act):
     """The number of leading rows of the (rows, u) margins whose active
     set is ``act``.  In a block, the rows past the first that differs are
     not steps."""
-    changed = np.flatnonzero(((margins < 1.0) != act).any(axis=1))
-    return changed[0] if changed.size else len(margins)
+    changed = ((margins < 1.0) != act).ravel()
+    first = changed.argmax()
+    return first // len(act) if changed[first] else len(margins)
 
 
 # The updates, as the module docstring describes them, each of at most
@@ -432,18 +442,46 @@ def _decompose(M):
     return thin_svd(M)
 
 
-# The most steps a conv hinge run takes one at a time, without a block
-# try, after tries that failed.
+# The most steps a conv or fc hinge run takes one at a time, without a
+# block try, after tries that failed.
 MAX_WAIT = 64
 
 
-def _conv_hinge(weights, design, weighted, scale):
-    d, kw = weights.w2.shape[0], weights.w1.shape[0]
+def _tried_blocks(weights, design, step, extend):
+    """A conv or fc hinge update: ``step(act)`` takes one step directly
+    and returns what stays fixed while the active set holds, its shift
+    matrix or its sum, from which ``extend(m, act, fixed, c, first,
+    steps)`` goes on in closed form, as the module docstring describes."""
     # The steps to take one at a time before the next block try, and the
     # wait after the last try, which doubles with each failed try in a row.
     skip = wait = 0
 
-    def extend(m, act, M, first, steps):
+    def update(m, act, steps):
+        nonlocal skip, wait
+        fixed = step(act)
+        c, margins, stepped = _state(weights, design)
+        if skip:
+            skip -= 1
+        elif steps > 1:
+            if _held(margins, act):
+                c, margins, stepped = extend(m, act, fixed, c, margins[0], steps)
+            # A try fails if it takes fewer than three steps.
+            skip = wait = 0 if len(c) > 2 else min(2 * wait + 1, MAX_WAIT)
+        return c, margins, stepped
+
+    return update
+
+
+def _conv_hinge(weights, design, weighted, scale):
+    d, kw = weights.w2.shape[0], weights.w1.shape[0]
+
+    def step(act):
+        M = shift_matrix(_active_sum(act, weighted, d), kw)
+        weights.w1, weights.w2 = (weights.w1 + scale * (M.T @ weights.w2),
+                                  weights.w2 + scale * (M @ weights.w1))
+        return M
+
+    def extend(m, act, M, c, first, steps):
         """The steps from the weights after a first step, whose margins
         ``first`` kept the active set: one [w1 | w2] row per step, the
         first row those weights and the rest in closed form, up to the
@@ -461,26 +499,20 @@ def _conv_hinge(weights, design, weighted, scale):
         weights.w1, weights.w2 = w1s[-1], w2s[-1]
         return c, margins, map(ConvWeights, w1s, w2s)
 
-    def update(m, act, steps):
-        nonlocal skip, wait
-        M = shift_matrix(_active_sum(act, weighted, d), kw)
-        weights.w1, weights.w2 = (weights.w1 + scale * (M.T @ weights.w2),
-                                  weights.w2 + scale * (M @ weights.w1))
-        c, margins, stepped = _state(weights, design)
-        if skip:
-            skip -= 1
-        elif steps > 1:
-            if _held(margins, act):
-                c, margins, stepped = extend(m, act, M, margins[0], steps)
-            # A try fails if it takes fewer than three steps.
-            skip = wait = 0 if len(c) > 2 else min(2 * wait + 1, MAX_WAIT)
-        return c, margins, stepped
-
-    return update
+    return _tried_blocks(weights, design, step, extend)
 
 
 def _fc_hinge(weights, design, weighted, scale):
     d = weights.w2.shape[0]
+
+    def step(act):
+        s = _active_sum(act, weighted, d)
+        g_w2 = weights.W1 @ s
+        g_W1 = weights.w2[:, None] * s
+        g_W1 *= scale
+        weights.W1 += g_W1
+        weights.w2 += scale * g_w2
+        return s
 
     def extend(m, act, s, c, first, steps):
         """As `_conv_hinge`'s, from the effective weights c of the first
@@ -513,29 +545,23 @@ def _fc_hinge(weights, design, weighted, scale):
         return (block[:rows], margins[:rows],
                 chain((FCWeights(W1, w2),), map(at, range(1, rows))))
 
-    def update(m, act, steps):
-        s = _active_sum(act, weighted, d)
-        g_W1 = np.outer(weights.w2, s)
-        g_w2 = weights.W1 @ s
-        weights.W1 += scale * g_W1
-        weights.w2 += scale * g_w2
-        c, margins, stepped = _state(weights, design)
-        if steps > 1 and _held(margins, act):
-            c, margins, stepped = extend(m, act, s, c, margins[0], steps)
-        return c, margins, stepped
-
-    return update
+    return _tried_blocks(weights, design, step, extend)
 
 
 def _growth_factors(x, t):
-    """lam_pm = (1 + x)^t +- (1 - x)^t for the rates x and step counts t,
-    broadcast together."""
+    """lam_pm = (1 + x)^t +- (1 - x)^t for the rates x >= 0 and step
+    counts t >= 0, broadcast together."""
     # lam_pm = (1 + x)^t (1 +- r^t) with r = (1 - x) / (1 + x), without
-    # cancellation: ln |r| and 1 - |r|^t through log1p and expm1.  For
-    # x > 1, r < 0, so an odd t swaps the two; at x = 1, 0^0 = 1.
+    # cancellation: ln |r| and 1 - |r|^t through log1p and expm1.
+    if np.all(x < 1.0):
+        tail = -np.expm1(t * np.log1p(-2.0 * x / (1.0 + x)))
+        grow = np.exp(t * np.log1p(x))
+        return grow * (2.0 - tail), grow * tail
+    # For x > 1, r < 0, so an odd t swaps the two; at x = 1, 0^0 = 1.  The
+    # t = 0 fill is the -0.0 that t ln |r| is at t = 0 for x < 1.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r = np.log1p(-2.0 * np.fmin(x, 1.0) / (1.0 + x))
-        tail = -np.expm1(np.where(t > 0, t * log_r, 0.0))
+        tail = -np.expm1(np.where(t > 0, t * log_r, -0.0))
     grow = np.exp(t * np.log1p(x))
     swap = (x > 1.0) & (t % 2 == 1)
     return (grow * np.where(swap, tail, 2.0 - tail),
@@ -623,9 +649,9 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
 
     def score():
         """Record the pending steps; raise at the first non-finite loss."""
-        c = np.concatenate([rows for rows, _ in pending])
-        m = np.concatenate([rows for _, rows in pending])
+        cs, ms = zip(*pending)
         pending.clear()
+        m = np.concatenate(ms)
         if config.loss == "hinge":
             h = 1.0 - m
             np.maximum(h, 0.0, out=h)
@@ -639,7 +665,7 @@ def train(model, tr, config, initial, eval_set=None, record_weights=False):
         losses.append(loss)
         terrs.append(error_from_margins(m, counts))
         if eval_set is not None:
-            eerrs.append(weight_error(c, eval_set))
+            eerrs.append(weight_error(np.concatenate(cs), eval_set))
 
     # A step whose loss is not finite is found when the steps are scored,
     # in order, before any later stop takes effect; the steps past it only

@@ -184,7 +184,7 @@ class TestGoldenOutputs:
         "gen-curve": {
             "rows.csv": "5a28bce6e3c91ff2cd3baae60ef9abb778cd8791a21124fcbf7454e67432a15f",
             "rows.csv.weights.json":
-                "18130e09bbff2c024561920f5654455e574003ff789d9ae8376fce065d7e86c1",
+                "e4a5e9a3fded00f5409265bbc09983c999128e7902778f2229c3e5d2163b710c",
         },
         "asym-vs-losses": {
             "rows.csv": "f5218e20938a2436faf3fbf06f49984eac288f32fa25dd471670a1a1b58ed4fb",
@@ -867,6 +867,15 @@ class TestMain:
         cfg.write_text(f"{key} = {value}\n")
         assert cli.main(base + ["--config", str(cfg)]) == 1
         assert "positive and finite" in capsys.readouterr().err
+
+    def test_uniform_init_past_its_bound_is_exit_one(self, tmp_path, capsys):
+        """init-study draws a uniform init, whose width 2b overflows past
+        half the largest double."""
+        argv = ["init-study", "--trials", "1", "--b", "1e308", "--d", "10", "--k",
+                "2", "--n", "5", "--xhinge-steps", "5", "--snapshot-t", "5",
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 1
+        assert "half the largest double" in capsys.readouterr().err
 
     def test_empty_model_list_is_exit_one(self, tmp_path, capsys):
         base = ["gen-curve", "--d", "20", "--k", "2", "--n", "4", "--trials", "1"]

@@ -20,6 +20,7 @@ from convlin.linalg import thin_svd
 from convlin.models import (
     BLOCK_ELEMENTS,
     DEFAULT_ALPHA,
+    MAX_WAIT,
     RENORM_THRESHOLD,
     TRACE_COLUMNS,
     ConvWeights,
@@ -459,6 +460,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(loss="hinge", init=("gaussian", "zero"))
 
+    def test_uniform_scale_bound(self):
+        """A uniform init draws on [-b, b], whose width 2b is a finite
+        double up to b = half the largest double and no further."""
+        half = np.finfo(float).max / 2
+        cfg = TrainConfig(loss="hinge", init="uniform", b=half)
+        w = init_weights("conv", 10, 2, cfg, np.random.default_rng(0))
+        assert np.all(np.abs(w.w1) <= half) and np.all(np.abs(w.w2) <= half)
+        with pytest.raises(ConfigError, match="half the largest double"):
+            TrainConfig(loss="hinge", init="uniform", b=np.nextafter(half, np.inf))
+        TrainConfig(loss="hinge", init="gaussian", b=1e308)
+
 
 class TestHingeTraining:
     def test_one_step_hand_simulation(self):
@@ -624,6 +636,35 @@ class TestHingeTraining:
         blocks = sum(n > 1 for n in hinge_steps)
         assert len(calls) == blocks > 0
         assert 20 * blocks < trace.steps_run == sum(hinge_steps)
+
+
+class TestGrowthFactors:
+    """`models._growth_factors`, lam_pm = (1 + x)^t +- (1 - x)^t: rates
+    all below 1 take a short form, and a call with any rate at or past 1
+    the general form, with its odd-t swap.  test_dynamics checks both
+    against exact values, x = 1 and x > 1 at odd and even t included."""
+
+    RATES = (0.0, 5e-324, 1e-12, 0.05, 0.5, np.nextafter(1.0, 0.0))
+
+    @staticmethod
+    def _assert_same_bits(a, b):
+        # Bit patterns, so that the sign of a zero counts too.
+        np.testing.assert_array_equal(np.asarray(a).view(np.uint64),
+                                      np.asarray(b).view(np.uint64))
+
+    def test_short_form_is_the_general_form(self):
+        """Bit for bit at t = 0..80, for each rate alone and for all of
+        them as one (k,) rate array.  A rate of 2 added to the array
+        sends every rate in it through the general form."""
+        t = np.arange(81.0)
+        for x in self.RATES:
+            general = models._growth_factors(np.array([x, 2.0]), t[:, None])
+            for short, full in zip(models._growth_factors(x, t), general):
+                self._assert_same_bits(short, full[:, 0])
+        rates = np.array(self.RATES)
+        general = models._growth_factors(np.append(rates, 2.0), t[:, None])
+        for short, full in zip(models._growth_factors(rates, t[:, None]), general):
+            self._assert_same_bits(short, full[:, :-1])
 
 
 class TestXhingeTraining:
@@ -802,9 +843,10 @@ ORACLE_CHECKS = {("1layer", "hinge"): assert_same_trace_but_loss,
 
 
 def wrap_hinge_updates(monkeypatch, check):
-    """Wrap every hinge update so that ``check(weights, c, margins)``
-    sees the weights it advances and the effective weights and margins
-    of each batch of steps it returns."""
+    """Wrap every hinge update so that ``check(weights, steps, c,
+    margins)`` sees the weights it advances, the most steps it was
+    offered, and the effective weights and margins of the steps it
+    returns."""
 
     def wrap(make):
         def made(weights, *args):
@@ -812,7 +854,7 @@ def wrap_hinge_updates(monkeypatch, check):
 
             def checked(m, act, steps):
                 c, margins, stepped = update(m, act, steps)
-                check(weights, c, margins)
+                check(weights, steps, c, margins)
                 return c, margins, stepped
 
             return checked
@@ -827,7 +869,7 @@ def wrap_hinge_updates(monkeypatch, check):
 def hinge_steps(monkeypatch):
     """The number of steps each hinge update takes, in call order."""
     taken = []
-    wrap_hinge_updates(monkeypatch, lambda weights, c, margins: taken.append(len(c)))
+    wrap_hinge_updates(monkeypatch, lambda weights, steps, c, margins: taken.append(len(c)))
     return taken
 
 
@@ -1048,10 +1090,11 @@ class TestScalarOracle:
         A block keeps its rows up to the first that changes the active
         set, and all J of them if none does: of this run's blocks, the
         first, of 76 steps, ends at a change, and the second, of 4, at
-        the batch's 81 rows.  The run takes its 613 steps in 81 calls."""
+        the batch's 81 rows.  The run takes its 613 steps in 130 calls,
+        most of them single steps that wait out failed tries."""
         got, want = self._at_scale("fc", with_eval=with_eval)
         assert hinge_steps[:2] == [76, 4] and sum(hinge_steps) == got.steps_run
-        assert 5 * len(hinge_steps) < got.steps_run
+        assert 4 * len(hinge_steps) < got.steps_run
         tr = sample_training_set(whole_dataset("cls", 100), 300,
                                  np.random.default_rng(11))
         design = tr.distinct[0]
@@ -1062,11 +1105,12 @@ class TestScalarOracle:
 
     @pytest.mark.parametrize("max_steps,blocks", [
         (1, [1]), (2, [2]), (37, [37]), (76, [76]),
-        (100, [76, 4, 1, 9, 5, 1, 1, 3])])
+        (100, [76, 4, 1, 1, 8, 5, 1, 1, 3])])
     def test_fc_budget_inside_block(self, max_steps, blocks, hinge_steps):
         """A batch holds 81 rows of d = 100.  These budgets end the fc run
         at the first step, inside the first block, on its last row and
-        inside the eighth."""
+        inside the last of five blocks, each failed try of one step
+        followed by one single step."""
         got, _ = self._at_scale("fc", max_steps)
         assert got.stop_reason == "step-budget"
         assert hinge_steps == blocks
@@ -1119,6 +1163,49 @@ class TestScalarOracle:
         assert (_design_margins(c, tr.distinct[0]) < 1.0).all()
         s = dense(tr).T @ tr.y
         assert cfg.alpha / len(tr) * np.sqrt(s @ s) > 1.0
+
+    @pytest.mark.parametrize("model", ("conv", "fc"))
+    def test_block_try_backoff(self, model, monkeypatch):
+        """3rdctrl at d = 40 and n = 100, whose active set keeps changing.
+        A call tries a block, by testing whether its first step kept the
+        active set, when it is offered more than one step and no wait is
+        left.  Each try that keeps fewer than three steps is followed by
+        its wait of single steps without a try, 1, 3, 7, ... for failed
+        tries in a row, up to MAX_WAIT, and a try that keeps more ends
+        the wait; a call offered one step shortens no wait.  The fc run
+        fails three tries, succeeds, and fails again up to MAX_WAIT."""
+        whole = whole_dataset("3rdctrl", 40)
+        tr = sample_training_set(whole, 100, np.random.default_rng(11))
+        cfg = TrainConfig(loss="hinge")
+        want = scalar_train(model, tr, cfg, np.random.default_rng(12), k=5,
+                            record_weights=True)
+        calls, held = [], []
+        real = models._held
+        monkeypatch.setattr(models, "_held",
+                            lambda *args: held.append(True) or real(*args))
+
+        def check(weights, steps, c, margins):
+            calls.append((steps, bool(held), len(c)))
+            held.clear()
+
+        wrap_hinge_updates(monkeypatch, check)
+        got = train_drawn(model, tr, cfg, np.random.default_rng(12), k=5,
+                          record_weights=True)
+        assert_close_trace(got, want)
+        skip = wait = 0
+        waits = []
+        for steps, tried, rows in calls:
+            assert tried == (skip == 0 and steps > 1)
+            if tried:
+                wait = 0 if rows > 2 else min(2 * wait + 1, MAX_WAIT)
+                skip = wait
+                waits.append(wait)
+            else:
+                assert rows == 1
+                skip = max(skip - 1, 0)
+        assert waits[:8] == ([0, 1, 3, 7, 15, 31, 63, 64] if model == "conv"
+                             else [0, 1, 3, 7, 0, 1, 3, 7])
+        assert MAX_WAIT in waits and len(calls) < got.steps_run
 
     @pytest.mark.parametrize("model", ("1layer", "conv", "fc"))
     def test_many_points(self, model):
@@ -1312,7 +1399,7 @@ class TestBlockCap:
         at its 3000-step budget."""
         sizes, blocks = [], []
 
-        def check(weights, c, margins):
+        def check(weights, steps, c, margins):
             # A conv block holds its [w1 | w2] rows, a one-layer or fc block
             # rows of d.
             width = sum(w.shape[-1] for w in vars(weights).values() if w.ndim == 1)
